@@ -3,23 +3,23 @@
 Every subcommand loads a network from a JSON file (or a bundled fixture name
 such as ``sq1``), runs its checks, writes a JSON report into the output
 directory, and exits 0 only if all asserted checks passed.  Exit codes:
-0 success, 1 failed checks, 2 usage errors, 3 I/O errors.
+0 success, 1 failed checks, 2 usage errors and malformed network or
+move-program files (invalid JSON, missing keys, zero conductances, unknown
+move ops), 3 I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures as fixture_lib
-from .errors import NetworkSpectraError
-from .graph_core import TorusGraph, unit_conductances
+from .errors import SIZE_BOUND, InputError, NetworkSpectraError
+from .graph_core import TorusGraph, read_json, unit_conductances
 from .laplacian import build_laplacian, charpoly, node_check, principal_minor
 from .forests import (
     boundary_point_counts,
@@ -180,12 +180,8 @@ def cmd_temperley_check(args) -> tuple[int, dict]:
 
 def cmd_ydelta(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    if (args.y2d is None) == (args.d2y is None):
-        raise SystemExit(2)
-    if args.y2d is not None:
-        rep = invariance_check(graph, c, "y2d", args.y2d)
-    else:
-        rep = invariance_check(graph, c, "d2y", args.d2y)
+    op = "y2d" if args.y2d is not None else "d2y"
+    rep = invariance_check(graph, c, op, getattr(args, op))
     data = rep.to_json()
     ok = rep.exact and rep.polygon_equal
     return (0 if ok else 1), data
@@ -193,8 +189,7 @@ def cmd_ydelta(args) -> tuple[int, dict]:
 
 def cmd_evolve(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    with open(args.program) as fh:
-        prog_data = json.load(fh)
+    prog_data = read_json(args.program)
     program = MoveProgram.from_json(prog_data)
     steps = args.steps if args.steps is not None else int(prog_data.get("steps", 10))
     if args.random_conductances:
@@ -210,30 +205,33 @@ def cmd_evolve(args) -> tuple[int, dict]:
 
 
 def cmd_amoeba(args) -> tuple[int, dict]:
-    from .spectral import amoeba, real_ovals, write_amoeba_csv, write_amoeba_svg
+    from . import spectral
 
     graph, c, stem = _load_network(args.input)
     p = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
-    cloud = amoeba(p, grid=args.grid, radius=args.radius)
-    ovals = real_ovals(p, radius=max(args.radius, 6.0))
+    cloud = spectral.amoeba(p, grid=args.grid, radius=args.radius)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"amoeba_{stem}.csv"
     svg_path = outdir / f"amoeba_{stem}.svg"
-    write_amoeba_csv(csv_path, cloud)
-    divisor_points = []
+    spectral.write_amoeba_csv(csv_path, cloud)
+    divisor, divisor_error = None, None
     if graph.n_vertices >= 2 and all(float(x) > 0 for x in c.values()):
-        from .spectral import spectral_divisor
-
         try:
-            divisor_points = spectral_divisor(graph, c, v0=args.v0).points
-        except NetworkSpectraError:
-            divisor_points = []
-    write_amoeba_svg(svg_path, cloud, divisor_points)
+            divisor = spectral.spectral_divisor(graph, c, v0=args.v0)
+        except NetworkSpectraError as exc:
+            divisor_error = f"{type(exc).__name__}: {exc}"
+    # the divisor already swept the ovals (the amoeba holes); sweep only without it
+    if divisor is not None:
+        holes = divisor.hole_count
+    else:
+        holes = len(spectral.real_ovals(p, radius=max(args.radius, 6.0)))
+    spectral.write_amoeba_svg(svg_path, cloud, divisor.points if divisor else [])
     data = {
         "points": len(cloud.points),
         "skipped_fibers": cloud.skipped_fibers,
-        "holes": len(ovals),
+        "holes": holes,
+        "divisor_error": divisor_error,
         "symmetry_defect": cloud.symmetric_defect(),
         "csv": str(csv_path),
         "svg": str(svg_path),
@@ -288,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--bound",
         type=int,
-        default=24,
-        help="size bound for exact determinants and enumerations",
+        default=SIZE_BOUND,
+        help="size bound of the exact routines: vertices for the determinant, "
+        "edges for forest enumeration, white vertices for dimers",
     )
     ap = argparse.ArgumentParser(
         prog="network-spectra",
@@ -312,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add("temperley-check", cmd_temperley_check, "dual pairs vs dimer covers bijection")
     yd = add("ydelta", cmd_ydelta, "single move with exact invariance check")
-    yd.add_argument("--y2d", type=int, default=None, metavar="VERTEX")
-    yd.add_argument("--d2y", type=int, default=None, metavar="FACE")
+    move = yd.add_mutually_exclusive_group(required=True)
+    move.add_argument("--y2d", type=int, metavar="VERTEX")
+    move.add_argument("--d2y", type=int, metavar="FACE")
     ev = add("evolve", cmd_evolve, "run a move program; conserved quantities")
     ev.add_argument("--program", required=True, help="move program JSON")
     ev.add_argument("--steps", type=int, default=None)
@@ -341,6 +341,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NetworkSpectraError as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types and the size bound shared across the package."""
+
+# The one bound on the exact routines, each counting its own blow-up:
+# vertices for the 2^V determinant, edges for the 2^E forest enumerations,
+# white vertices for the dimer-cover search.
+SIZE_BOUND = 24
 
 
 class NetworkSpectraError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InputError(NetworkSpectraError):
+    """A network or move-program file is malformed."""
 
 
 class GraphValidationError(NetworkSpectraError):
@@ -29,20 +38,17 @@ class ZeroPolynomial(NetworkSpectraError):
     pass
 
 
-class MatrixTooLarge(NetworkSpectraError):
-    pass
-
-
 class SingleVertexGraph(NetworkSpectraError):
     pass
 
 
-class TooManyEdges(NetworkSpectraError):
-    pass
-
-
 class TooLarge(NetworkSpectraError):
-    pass
+    """An exact routine's input exceeds its size bound."""
+
+
+def check_size(count: int, what: str, bound: int) -> None:
+    if count > bound:
+        raise TooLarge(f"{count} {what} exceeds the size bound {bound}")
 
 
 class NotAMatching(NetworkSpectraError):

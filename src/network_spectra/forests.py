@@ -15,12 +15,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NotAPolygonVertex, StrandNotOnEdgeFamily, TooManyEdges
+from .errors import SIZE_BOUND, NotAPolygonVertex, StrandNotOnEdgeFamily, check_size
 from .graph_core import TorusGraph, Vec, vadd
 from .laurent import LaurentPoly2, NewtonPolygon
 from .zigzag import StrandSystem, fans, zigzag_polygon
-
-DEFAULT_ENUMERATION_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -176,10 +174,7 @@ def _cycle_class(graph: TorusGraph, cyc: Sequence[int]) -> Vec:
 
 def _crsf_structures(graph: TorusGraph, max_edges: int):
     """Unoriented CRSFs: (edge subset, canonical cycles, tree darts)."""
-    if graph.n_edges > max_edges:
-        raise TooManyEdges(
-            f"{graph.n_edges} edges exceeds the enumeration bound {max_edges}"
-        )
+    check_size(graph.n_edges, "edges", max_edges)
     out = []
     for subset in combinations(range(graph.n_edges), graph.n_vertices):
         comps = _components(graph, subset)
@@ -208,7 +203,7 @@ def _orientations(graph: TorusGraph, cycles):
 
 
 def enumerate_ocrsfs(
-    graph: TorusGraph, max_edges: int = DEFAULT_ENUMERATION_BOUND
+    graph: TorusGraph, max_edges: int = SIZE_BOUND
 ) -> list[OrientedForest]:
     """All OCRSFs: subset scan expanded over cycle orientations."""
     out: list[OrientedForest] = []
@@ -228,7 +223,7 @@ def enumerate_ocrsfs(
 def pfnlap_sum(
     graph: TorusGraph,
     conductances: Mapping[int, Fraction],
-    max_edges: int = DEFAULT_ENUMERATION_BOUND,
+    max_edges: int = SIZE_BOUND,
 ) -> LaurentPoly2:
     """Brute-force oracle for det of the twisted Laplacian.
 
@@ -272,7 +267,7 @@ class DualPair:
 
 
 def enumerate_dual_pairs(
-    graph: TorusGraph, max_edges: int = DEFAULT_ENUMERATION_BOUND
+    graph: TorusGraph, max_edges: int = SIZE_BOUND
 ) -> list[DualPair]:
     """All (primal OCRSF, crossing-free dual OCRSF) pairs.
 
@@ -316,7 +311,7 @@ def enumerate_dual_pairs(
 
 
 def dual_pair_hull(
-    graph: TorusGraph, max_edges: int = DEFAULT_ENUMERATION_BOUND
+    graph: TorusGraph, max_edges: int = SIZE_BOUND
 ) -> NewtonPolygon:
     return NewtonPolygon.from_points(p.cls for p in enumerate_dual_pairs(graph, max_edges))
 
@@ -458,7 +453,7 @@ def external_ocrsf(
     return _forest_from_out_darts(graph, out)
 
 
-def boundary_point_counts(graph: TorusGraph, max_edges: int = DEFAULT_ENUMERATION_BOUND):
+def boundary_point_counts(graph: TorusGraph, max_edges: int = SIZE_BOUND):
     """#OCRSFs per boundary lattice point, with the binomial reference value."""
     poly = zigzag_polygon(graph)
     counts: dict[Vec, int] = {}

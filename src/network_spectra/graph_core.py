@@ -17,11 +17,20 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import BadRotation, GraphValidationError, NonContractibleFace, NonTorusEuler
+from .errors import BadRotation, GraphValidationError, InputError, NonContractibleFace, NonTorusEuler
 
 Vec = tuple[int, int]
+
+
+def read_json(path):
+    """Load a JSON file; a file that does not parse is an InputError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -391,23 +400,26 @@ class TorusGraph:
     @classmethod
     def from_json_dict(cls, data: dict, check: bool = True):
         """Parse the interchange format; returns (graph, conductances or None)."""
-        vertices = data["vertices"]
-        n = len(vertices)
-        ids = sorted(v["id"] for v in vertices)
-        if ids != list(range(n)):
-            raise GraphValidationError("vertex ids must be 0..n-1")
-        positions = {
-            v["id"]: tuple(v["pos"]) for v in vertices if "pos" in v and v["pos"] is not None
-        }
-        edges = []
-        conductances: dict[int, Fraction] = {}
-        has_c = False
-        for e in sorted(data["edges"], key=lambda e: e["id"]):
-            edges.append(Edge(e["id"], e["tail"], e["head"], tuple(e["disp"])))
-            if "conductance" in e:
-                has_c = True
-                conductances[e["id"]] = Fraction(str(e["conductance"]))
-        rotation = {int(v): tuple(ds) for v, ds in data["rotation"].items()}
+        try:
+            vertices = data["vertices"]
+            n = len(vertices)
+            ids = sorted(v["id"] for v in vertices)
+            if ids != list(range(n)):
+                raise GraphValidationError("vertex ids must be 0..n-1")
+            positions = {
+                v["id"]: tuple(v["pos"]) for v in vertices if "pos" in v and v["pos"] is not None
+            }
+            edges = []
+            conductances: dict[int, Fraction] = {}
+            has_c = False
+            for e in sorted(data["edges"], key=lambda e: e["id"]):
+                edges.append(Edge(e["id"], e["tail"], e["head"], tuple(e["disp"])))
+                if "conductance" in e:
+                    has_c = True
+                    conductances[e["id"]] = Fraction(str(e["conductance"]))
+            rotation = {int(v): tuple(ds) for v, ds in data["rotation"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed network: {type(exc).__name__}: {exc}") from None
         graph = cls(n, edges, rotation, positions=positions, check=check)
         return graph, (conductances if has_c else None)
 
@@ -432,8 +444,7 @@ class TorusGraph:
 
     @classmethod
     def load(cls, path, check: bool = True):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh), check=check)
+        return cls.from_json_dict(read_json(path), check=check)
 
     def save(self, path, conductances=None) -> None:
         with open(path, "w") as fh:

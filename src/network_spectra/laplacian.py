@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import MatrixTooLarge, SingleVertexGraph
+from .errors import SIZE_BOUND, InputError, SingleVertexGraph, check_size
 from .graph_core import TorusGraph
 from .laurent import LaurentPoly2
-
-DEFAULT_EXACT_DET_BOUND = 20
 
 
 @dataclass
@@ -48,7 +46,7 @@ def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> 
         u, v = graph.tail_of(d), graph.head_of(d)
         c = Fraction(conductances[graph.edge_of(d)])
         if c == 0:
-            raise ValueError(f"conductance of edge {graph.edge_of(d)} is zero")
+            raise InputError(f"conductance of edge {graph.edge_of(d)} is zero")
         i, j = graph.disp(d)
         entries[u][u] = entries[u][u] + LaurentPoly2.constant(c)
         entries[u][v] = entries[u][v] - LaurentPoly2.monomial(i, j, c)
@@ -81,12 +79,9 @@ def _det(rows: Sequence[Sequence[LaurentPoly2]]) -> LaurentPoly2:
     return minors[(1 << n) - 1]
 
 
-def charpoly(L: LaplacianMatrix, max_vertices: int = DEFAULT_EXACT_DET_BOUND) -> LaurentPoly2:
+def charpoly(L: LaplacianMatrix, max_vertices: int = SIZE_BOUND) -> LaurentPoly2:
     """det of the twisted Laplacian as an exact Laurent polynomial."""
-    if L.size > max_vertices:
-        raise MatrixTooLarge(
-            f"{L.size} vertices exceeds the exact-determinant bound {max_vertices}"
-        )
+    check_size(L.size, "vertices", max_vertices)
     return _det(L.entries)
 
 
@@ -156,36 +151,3 @@ def laplacian_matrix_at(graph: TorusGraph, conductances: Mapping[int, object], z
         m[u, v] -= c * z**i * w**j
     return m
 
-
-def charpoly_numeric(
-    graph: TorusGraph,
-    conductances: Mapping[int, object],
-    support: Sequence[tuple[int, int]],
-    oversample: int = 3,
-    seed: int = 7,
-) -> dict[tuple[int, int], complex]:
-    """Least-squares coefficients of det on a known support.  NOT exact.
-
-    Samples the numeric determinant at random points of the unit torus and
-    solves for the coefficients on ``support`` (normally the lattice points of
-    the zig-zag polygon).  Intended for graphs too large for the exact path.
-    """
-    import cmath
-    import random
-
-    import numpy as np
-
-    rng = random.Random(seed)
-    pts = [
-        (
-            cmath.exp(2j * cmath.pi * rng.random()),
-            cmath.exp(2j * cmath.pi * rng.random()),
-        )
-        for _ in range(oversample * len(support))
-    ]
-    A = np.array([[z**i * w**j for (i, j) in support] for z, w in pts])
-    b = np.array(
-        [np.linalg.det(laplacian_matrix_at(graph, conductances, z, w)) for z, w in pts]
-    )
-    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return {ij: complex(c) for ij, c in zip(support, coeffs)}

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,18 +26,9 @@ from .errors import (
 from .graph_core import TorusGraph
 from .laplacian import LaplacianMatrix, build_laplacian, laplacian_matrix_at, principal_minor
 from .laurent import LaurentPoly2
-from .zigzag import zigzag_polygon
 
 ROOT_TOL = 1e-12
 REFINE_TOL = 1e-9
-
-
-def max_workers() -> int:
-    """Parallelism cap from NETWORK_SPECTRA_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("NETWORK_SPECTRA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- univariate fibers -------------------------------------------------------
@@ -121,45 +111,25 @@ def amoeba(
     grid: int = 60,
     radius: float = 3.0,
     phases: int = 24,
-    workers: int | None = None,
 ) -> AmoebaCloud:
     """Sample the amoeba (log|z|, log|w|) over a log-radial grid of fibers.
 
     Sweeps fibers over z and (transposed) over w so both tentacle directions
     fill in; degenerate fibers are skipped and counted.
     """
-    ts = np.linspace(-radius, radius, grid)
-    args = []
-    for t in ts:
-        for k in range(phases):
-            zz = cmath.exp(t + 2j * math.pi * (k + 0.316) / phases)
-            args.append(("z", zz))
-            args.append(("w", zz))
     skipped = 0
     samples: list[tuple[complex, complex]] = []
-
-    def work(item):
-        kind, val = item
-        try:
-            if kind == "z":
-                return [(val, w) for w in fiber_roots(p, val) if w != 0]
-            return [(z, val) for z in fiber_roots_in_z(p, val) if z != 0]
-        except DegenerateFiber:
-            return None
-
-    nw = workers if workers is not None else max_workers()
-    if nw > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            results = list(ex.map(work, args))
-    else:
-        results = [work(a) for a in args]
-    for res in results:
-        if res is None:
-            skipped += 1
-        else:
-            samples.extend(res)
+    for t in np.linspace(-radius, radius, grid):
+        for k in range(phases):
+            val = cmath.exp(t + 2j * math.pi * (k + 0.316) / phases)
+            try:
+                samples.extend((val, w) for w in fiber_roots(p, val) if w != 0)
+            except DegenerateFiber:
+                skipped += 1
+            try:
+                samples.extend((z, val) for z in fiber_roots_in_z(p, val) if z != 0)
+            except DegenerateFiber:
+                skipped += 1
     return AmoebaCloud(samples, radius, skipped)
 
 
@@ -172,74 +142,6 @@ def _occupancy(points, radius: float, bins: int):
         if 0 <= i < bins and 0 <= j < bins:
             grid[i][j] = True
     return grid
-
-
-@dataclass
-class Hole:
-    cells: set[tuple[int, int]]
-    centroid: tuple[float, float]
-
-
-def amoeba_holes(cloud: AmoebaCloud, bins: int = 60, min_cells: int = 2) -> list[Hole]:
-    """Bounded empty components of the rasterized amoeba complement.
-
-    Heuristic by construction: resolution-dependent, asserted only on the
-    bundled fixtures.
-    """
-    grid = _occupancy(cloud.points, cloud.radius, bins)
-    state = [[0 if grid[i][j] else 1 for j in range(bins)] for i in range(bins)]
-    # flood the unbounded outside
-    stack = [
-        (i, j)
-        for i in range(bins)
-        for j in range(bins)
-        if state[i][j] == 1 and (i in (0, bins - 1) or j in (0, bins - 1))
-    ]
-    while stack:
-        i, j = stack.pop()
-        if state[i][j] != 1:
-            continue
-        state[i][j] = 2
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < bins and 0 <= b < bins and state[a][b] == 1:
-                stack.append((a, b))
-    holes = []
-    step = 2 * cloud.radius / bins
-    for i in range(bins):
-        for j in range(bins):
-            if state[i][j] != 1:
-                continue
-            comp = set()
-            stack = [(i, j)]
-            while stack:
-                a, b = stack.pop()
-                if state[a][b] != 1:
-                    continue
-                state[a][b] = 3
-                comp.add((a, b))
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    x, y = a + di, b + dj
-                    if 0 <= x < bins and 0 <= y < bins and state[x][y] == 1:
-                        stack.append((x, y))
-            if len(comp) >= min_cells:
-                cx = sum(a for a, _ in comp) / len(comp)
-                cy = sum(b for _, b in comp) / len(comp)
-                holes.append(
-                    Hole(
-                        comp,
-                        (cx * step - cloud.radius + step / 2, cy * step - cloud.radius + step / 2),
-                    )
-                )
-    return holes
-
-
-def hole_distance(hole: Hole, point: tuple[float, float], radius: float, bins: int) -> float:
-    """Chebyshev distance (in cells) from an amoeba point to the hole."""
-    step = 2 * radius / bins
-    i = (point[0] + radius) / step - 0.5
-    j = (point[1] + radius) / step - 0.5
-    return min(max(abs(i - a), abs(j - b)) for a, b in hole.cells)
 
 
 # -- kernel vectors --------------------------------------------------------------
@@ -358,12 +260,6 @@ class RealOval:
 
     points: list[tuple[float, float]]   # (z, w), one sign quadrant
     centroid_log: tuple[float, float]
-
-    def contains_image(self, log_pt: tuple[float, float], tol: float) -> bool:
-        return any(
-            math.hypot(log_pt[0] - math.log(abs(z)), log_pt[1] - math.log(abs(w))) <= tol
-            for z, w in self.points
-        )
 
 
 def real_ovals(
@@ -687,27 +583,7 @@ def _follow_tentacle(p, prim, normal, count, t_max, steps):
     return limits, uncerts
 
 
-# -- report assembly ----------------------------------------------------------------
-
-
-@dataclass
-class SpectralReport:
-    amoeba_points: int
-    oval_count_estimate: int
-    genus: int
-    divisor: DivisorResult | None
-    node: dict
-    tentacles: list[TentacleEstimate] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "amoeba_points": self.amoeba_points,
-            "oval_count_estimate": self.oval_count_estimate,
-            "genus": self.genus,
-            "node": self.node,
-            "divisor": self.divisor.to_json() if self.divisor else None,
-            "tentacles": [t.to_json() for t in self.tentacles],
-        }
+# -- residual samples ----------------------------------------------------------------
 
 
 def curve_samples(

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import NotAMatching, TooLarge
+from .errors import SIZE_BOUND, NotAMatching, check_size
 from .forests import DualPair, enumerate_dual_pairs, extremal_table
 from .graph_core import SuperposedGraph, TorusGraph, Vec, vadd, vsub
 from .laurent import NewtonPolygon
-
-DEFAULT_MATCHING_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -32,12 +30,11 @@ class DimerCover:
         return w
 
 
-def enumerate_dimers(sup: SuperposedGraph, max_whites: int = DEFAULT_MATCHING_BOUND) -> list[DimerCover]:
+def enumerate_dimers(sup: SuperposedGraph, max_whites: int = SIZE_BOUND) -> list[DimerCover]:
     """All perfect matchings, by backtracking over white vertices."""
     g = sup.graph
     blacks, whites = sup.color_classes()
-    if len(whites) > max_whites:
-        raise TooLarge(f"{len(whites)} white vertices exceeds the bound {max_whites}")
+    check_size(len(whites), "white vertices", max_whites)
     if len(blacks) != len(whites):
         return []
     out: list[DimerCover] = []

@@ -11,20 +11,20 @@ invariance check used throughout.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
     BadDegree,
+    InputError,
     IsomorphismMismatch,
     LoopAtVertex,
     NotATriangle,
     PathDependence,
     SingularDenominator,
 )
-from .graph_core import Edge, TorusGraph, Vec, vadd, vneg, vsub
+from .graph_core import Edge, TorusGraph, Vec, read_json, vadd, vneg, vsub
 from .laplacian import build_laplacian, charpoly
 from .laurent import LaurentPoly2
 from .zigzag import LEFT, RIGHT, StrandSystem, zigzag_polygon
@@ -242,24 +242,26 @@ class MoveProgram:
 
     @classmethod
     def from_json(cls, data: dict) -> "MoveProgram":
-        moves = []
-        for m in data["moves"]:
-            if m["op"] == "y2d":
-                moves.append(Move("y2d", int(m["vertex"])))
-            elif m["op"] == "d2y":
-                moves.append(Move("d2y", int(m["face"])))
-            else:
-                raise ValueError(f"unknown move op {m['op']!r}")
-        return cls(
-            moves,
-            {int(k): int(v) for k, v in data["iso"]["vertices"].items()},
-            {int(k): int(v) for k, v in data["iso"]["edges"].items()},
-        )
+        try:
+            moves = []
+            for m in data["moves"]:
+                if m["op"] == "y2d":
+                    moves.append(Move("y2d", int(m["vertex"])))
+                elif m["op"] == "d2y":
+                    moves.append(Move("d2y", int(m["face"])))
+                else:
+                    raise InputError(f"unknown move op {m['op']!r}")
+            return cls(
+                moves,
+                {int(k): int(v) for k, v in data["iso"]["vertices"].items()},
+                {int(k): int(v) for k, v in data["iso"]["edges"].items()},
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed move program: {type(exc).__name__}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "MoveProgram":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def apply_move(graph: TorusGraph, conductances, move: Move):

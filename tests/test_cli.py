@@ -145,3 +145,68 @@ def test_file_input_equivalent_to_fixture(tmp_path):
     assert run(tmp_path, "charpoly", "hex1") == 0
     b = json.loads((tmp_path / "charpoly_hex1.json").read_text())
     assert a == b
+
+
+@pytest.mark.parametrize("flags", [[], ["--y2d", "0", "--d2y", "0"]])
+def test_ydelta_needs_exactly_one_move(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "ydelta", "hex1", *flags)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def _malformed(tmp_path, case):
+    """argv for a run on one kind of malformed input file."""
+    g, c = build("sq1")
+    data = g.to_json_dict(c)
+    net = tmp_path / "net.json"
+    if case == "invalid-json":
+        net.write_text('{"vertices": [')
+    elif case == "missing-rotation":
+        del data["rotation"]
+        net.write_text(json.dumps(data))
+    elif case == "zero-conductance":
+        data["edges"][0]["conductance"] = "0"
+        net.write_text(json.dumps(data))
+    elif case == "unknown-op":
+        prog = tmp_path / "prog.json"
+        prog.write_text(json.dumps({"moves": [{"op": "flip", "vertex": 0}],
+                                    "iso": {"vertices": {}, "edges": {}}}))
+        return ["evolve", "tri2", "--program", str(prog)]
+    return ["charpoly", str(net)]
+
+
+@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op"])
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    assert run(tmp_path, *_malformed(tmp_path, case)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["charpoly", "newton", "ocrsf-check", "temperley-check"])
+def test_size_bound(tmp_path, capsys, command):
+    assert run(tmp_path, command, "tri2", "--bound", "1") == 1
+    assert "check failed: TooLarge: " in capsys.readouterr().err
+
+
+def test_amoeba_hole_count_from_divisor(tmp_path):
+    assert run(tmp_path, "amoeba", "tri2", "--grid", "30") == 0
+    assert run(tmp_path, "divisor", "tri2") == 0
+    data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
+    divisor = json.loads((tmp_path / "divisor_tri2.json").read_text())
+    assert data["divisor_error"] is None
+    assert data["holes"] == divisor["hole_count"] == 2
+
+
+def test_amoeba_records_divisor_error(tmp_path, monkeypatch):
+    from network_spectra import spectral
+    from network_spectra.errors import CorankTwo
+
+    def fail(*args, **kwargs):
+        raise CorankTwo("two small singular values")
+
+    monkeypatch.setattr(spectral, "spectral_divisor", fail)
+    assert run(tmp_path, "amoeba", "tri2", "--grid", "30") == 0
+    data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
+    assert data["divisor_error"] == "CorankTwo: two small singular values"
+    assert data["holes"] == 2
+    assert '<g stroke="#d62728"' not in (tmp_path / "amoeba_tri2.svg").read_text()

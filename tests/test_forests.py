@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from network_spectra.errors import NotAPolygonVertex, StrandNotOnEdgeFamily, TooManyEdges
+from network_spectra.errors import NotAPolygonVertex, StrandNotOnEdgeFamily, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.forests import (
     boundary_point_counts,
@@ -53,9 +53,9 @@ def test_component_balance():
 
 def test_enumeration_bound():
     g, _ = build("tri2")
-    with pytest.raises(TooManyEdges):
+    with pytest.raises(TooLarge):
         enumerate_ocrsfs(g, max_edges=3)
-    with pytest.raises(TooManyEdges):
+    with pytest.raises(TooLarge):
         pfnlap_sum(g, {e.id: Fraction(1) for e in g.edges}, max_edges=3)
 
 
