@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import SIZE_BOUND, InputError, SingleVertexGraph, check_size
 from .graph_core import TorusGraph
@@ -29,6 +32,15 @@ class LaplacianMatrix:
 
     def entry(self, u: int, v: int) -> LaurentPoly2:
         return self.entries[u][v]
+
+    @cached_property
+    def darts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-dart (tail, head, complex conductance, displacement), built once."""
+        g = self.graph
+        ds = range(g.n_darts)
+        ends = np.array([(g.tail_of(d), g.head_of(d), *g.disp(d)) for d in ds], int).reshape(-1, 4)
+        c = np.array([complex(self.conductances[g.edge_of(d)]) for d in ds])
+        return ends[:, 0], ends[:, 1], c, ends[:, 2:]
 
     def transposed_involution_holds(self) -> bool:
         n = self.size
@@ -137,17 +149,11 @@ def node_check(p: LaurentPoly2) -> NodeReport:
     return NodeReport(value, grad, ((h11, h12), (h12, h22)), det)
 
 
-def laplacian_matrix_at(graph: TorusGraph, conductances: Mapping[int, object], z: complex, w: complex):
-    """Numeric n x n Laplacian at a point of (C*)^2 (complex conductances ok)."""
-    import numpy as np
-
-    n = graph.n_vertices
-    m = np.zeros((n, n), dtype=complex)
-    for d in range(graph.n_darts):
-        u, v = graph.tail_of(d), graph.head_of(d)
-        c = complex(conductances[graph.edge_of(d)])
-        i, j = graph.disp(d)
-        m[u, u] += c
-        m[u, v] -= c * z**i * w**j
+def laplacian_matrix_at(L: LaplacianMatrix, z: complex, w: complex) -> np.ndarray:
+    """Numeric n x n Laplacian at a point of (C*)^2, from the cached dart arrays."""
+    tail, head, c, disp = L.darts
+    z, w = complex(z), complex(w)
+    m = np.zeros((L.size, L.size), dtype=complex)
+    np.add.at(m, (tail, tail), c)
+    np.add.at(m, (tail, head), -c * z ** disp[:, 0] * w ** disp[:, 1])
     return m
-

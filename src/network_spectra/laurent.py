@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import ZeroEvaluationPoint, ZeroPolynomial
 
 Exponent = tuple[int, int]
@@ -29,7 +31,7 @@ def _as_coeff(x):
 class LaurentPoly2:
     """A Laurent polynomial in two variables z, w with rational coefficients."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_f")
 
     def __init__(self, coeffs: Mapping[Exponent, object] | None = None):
         c: dict[Exponent, Fraction] = {}
@@ -207,43 +209,35 @@ class LaurentPoly2:
         return out
 
     def eval(self, z, w):
-        """Evaluate at nonzero z, w (exact for Fraction/int, complex otherwise).
-
-        Complex evaluation runs Horner's scheme along each row of constant
-        z-exponent for stability.
-        """
+        """Evaluate at nonzero z, w (exact for Fraction/int, complex otherwise)."""
         if z == 0 or w == 0:
             raise ZeroEvaluationPoint("Laurent polynomials have poles at z=0 or w=0")
-        if not self._c:
-            return Fraction(0) if _is_exact(z) and _is_exact(w) else 0j
         if _is_exact(z) and _is_exact(w):
             z, w = Fraction(z), Fraction(w)
             total = Fraction(0)
             for (i, j), v in self._c.items():
                 total += v * z**i * w**j
             return total
-        z, w = complex(z), complex(w)
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (i, j), v in self._c.items():
-            rows.setdefault(i, []).append((j, v))
-        total = 0j
-        for i in sorted(rows):
-            row = sorted(rows[i])
-            jmin = row[0][0]
-            jmax = row[-1][0]
-            dense = [0.0] * (jmax - jmin + 1)
-            for j, v in row:
-                dense[j - jmin] = float(v)
-            acc = 0j
-            for coef in reversed(dense):
-                acc = acc * w + coef
-            total += z**i * w**jmin * acc
-        return total
+        return self.floats().at(z, w)[0]
 
     def scale_at(self, z: complex, w: complex) -> float:
         """Sum of |coefficient * monomial| at (z, w); a residual yardstick."""
-        z, w = complex(z), complex(w)
-        return float(sum(abs(float(v)) * abs(z) ** i * abs(w) ** j for (i, j), v in self._c.items()))
+        return self.floats().at(z, w)[1]
+
+    def floats(self) -> "FloatView":
+        """The float view, built on first use and cached in a slot.  Exact
+        operations never read it; each returns a new polynomial with its own."""
+        try:
+            return self._f
+        except AttributeError:
+            pass
+        c = self._c or {(0, 0): Fraction(0)}  # the zero polynomial: one zero entry
+        imin, jmin = min(i for i, _ in c), min(j for _, j in c)
+        C = np.zeros((max(j for _, j in c) - jmin + 1, max(i for i, _ in c) - imin + 1))
+        for (i, j), v in c.items():
+            C[j - jmin, i - imin] = float(v)
+        self._f = FloatView(imin, jmin, C)
+        return self._f
 
     def newton_polygon(self) -> "NewtonPolygon":
         if not self._c:
@@ -262,6 +256,43 @@ class LaurentPoly2:
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+class FloatView:
+    """Dense float coefficients of a Laurent polynomial, for the float path.
+
+    ``C[j - jmin, i - imin]`` is the coefficient of z^i w^j and ``A = |C|``.
+    """
+
+    __slots__ = ("imin", "jmin", "C", "A", "_t")
+
+    def __init__(self, imin: int, jmin: int, C: np.ndarray):
+        self.imin, self.jmin, self.C, self.A = imin, jmin, C, np.abs(C)
+
+    def floats(self) -> "FloatView":
+        return self
+
+    def transposed(self) -> "FloatView":
+        """The view with the roles of z and w swapped, built once."""
+        try:
+            return self._t
+        except AttributeError:
+            self._t = FloatView(self.jmin, self.imin, np.ascontiguousarray(self.C.T))
+            return self._t
+
+    def fiber(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of p(z, .) by w-exponent from jmin, and the same sums
+        taken over |coefficient| * |z|^i (the fiber's residual yardstick)."""
+        z = complex(z)
+        e = np.arange(self.imin, self.imin + self.C.shape[1])
+        return self.C @ z**e, self.A @ abs(z) ** e
+
+    def at(self, z: complex, w: complex) -> tuple[complex, float]:
+        """p(z, w) and the sum of |coefficient * monomial| there."""
+        a, s = self.fiber(z)
+        w = complex(w)
+        e = np.arange(self.jmin, self.jmin + len(a))
+        return complex(a @ w**e), float(s @ abs(w) ** e)
 
 
 # Convenience generators.

@@ -4,11 +4,16 @@ divisor points on ovals, and experimental points-at-infinity estimates.
 Everything here consumes the exact characteristic polynomial but computes in
 floating point; tolerances are explicit arguments with the defaults used by
 the acceptance checks (root residual 1e-12 relative, divisor refinement 1e-9).
+
+No Fraction is converted per evaluation: fibers read the float coefficient
+matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
+cached on the view), kernel vectors the arrays of ``LaplacianMatrix.darts``.
 """
 
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -25,53 +30,57 @@ from .errors import (
 )
 from .graph_core import TorusGraph
 from .laplacian import LaplacianMatrix, build_laplacian, laplacian_matrix_at, principal_minor
-from .laurent import LaurentPoly2
+from .laurent import FloatView, LaurentPoly2
 
 ROOT_TOL = 1e-12
 REFINE_TOL = 1e-9
+POLISH_ITERS = 50
+
+log = logging.getLogger(__name__)
 
 
 # -- univariate fibers -------------------------------------------------------
 
 
-def fiber_roots(p: LaurentPoly2, z: complex, tol: float = ROOT_TOL) -> list[complex]:
-    """All w with p(z, w) = 0, via the companion matrix plus Newton polish."""
+def fiber_roots(p: LaurentPoly2 | FloatView, z: complex, tol: float = ROOT_TOL) -> list[complex]:
+    """All w with p(z, w) = 0, via the companion matrix plus Newton polish.
+
+    Reads only ``p.floats()``, cached on the polynomial.  Newton polishes all
+    roots at once; a root stops at |p| <= tol * scale, at a zero derivative, or
+    after POLISH_ITERS steps (logged at DEBUG).
+    """
     if z == 0:
         raise DegenerateFiber("z = 0 is outside (C*)^2")
-    rows: dict[int, complex] = {}
-    for (i, j), v in p.terms():
-        rows[j] = rows.get(j, 0j) + float(v) * complex(z) ** i
-    if not rows:
-        return []
-    jmin, jmax = min(rows), max(rows)
-    coeffs = [rows.get(j, 0j) for j in range(jmax, jmin - 1, -1)]
-    top = max(abs(c) for c in coeffs)
+    f = p.floats()
+    a, s = f.fiber(z)
+    top = np.abs(a).max()
     if top == 0:
         raise DegenerateFiber(f"p(z, .) vanishes identically at z = {z}")
-    if abs(coeffs[0]) < 1e-13 * top or abs(coeffs[-1]) < 1e-13 * top:
+    if abs(a[-1]) < 1e-13 * top or abs(a[0]) < 1e-13 * top:
         raise DegenerateFiber(f"extreme w-coefficient vanishes at z = {z} (tentacle asymptote)")
-    roots = np.roots(np.array(coeffs, dtype=complex))
-    pw = p.derivative("w")
-    polished = []
-    for w in roots:
-        w = complex(w)
-        for _ in range(50):
-            scale = p.scale_at(z, w)
-            val = p.eval(z, w)
-            if abs(val) <= tol * scale:
-                break
-            dv = pw.eval(z, w)
-            if dv == 0:
-                break
-            w = w - val / dv
-        polished.append(w)
-    return polished
+    w = np.roots(a[::-1]).astype(complex)
+    e = np.arange(f.jmin, f.jmin + len(a))
+    da = a * e
+    todo = np.arange(len(w))
+    for _ in range(POLISH_ITERS):
+        wt = w[todo, None]
+        below = wt ** (e - 1)
+        powers = below * wt
+        val = powers @ a
+        dv = below @ da
+        go = (np.abs(val) > tol * (np.abs(powers) @ s)) & (dv != 0)
+        todo = todo[go]
+        if not len(todo):
+            break
+        w[todo] -= val[go] / dv[go]
+    else:
+        log.debug("fiber at z = %s: %d of %d roots hit the polish cap", z, len(todo), len(w))
+    return w.tolist()
 
 
 def fiber_roots_in_z(p: LaurentPoly2, w: complex, tol: float = ROOT_TOL) -> list[complex]:
     """All z with p(z, w) = 0 (the transposed sweep)."""
-    swapped = LaurentPoly2({(j, i): v for (i, j), v in p.terms()})
-    return fiber_roots(swapped, w, tol=tol)
+    return fiber_roots(p.floats().transposed(), w, tol=tol)
 
 
 # -- curve samples and the amoeba ---------------------------------------------
@@ -159,7 +168,7 @@ def null_vectors(
     U* Delta ~ 0 and Delta V ~ 0.  Raises CorankTwo when the two smallest
     singular values are both tiny (corank >= 2, e.g. a very degenerate point).
     """
-    m = laplacian_matrix_at(L.graph, L.conductances, z, w)
+    m = laplacian_matrix_at(L, z, w)
     u, s, vh = np.linalg.svd(m)
     scale = s[0] if s[0] > 0 else 1.0
     if len(s) >= 2 and s[-2] <= corank_tol * scale:
@@ -201,6 +210,8 @@ class DivisorResult:
     hole_count: int
     sweep_points: int
     node: dict
+    corank2_skipped: int = 0   # oval samples and refined points with corank >= 2, skipped
+    sweep_widenings: int = 0   # times the oval sweep was widened and redone (0-2)
 
     @property
     def count_matches_genus(self) -> bool:
@@ -214,6 +225,8 @@ class DivisorResult:
             "count_matches_genus": self.count_matches_genus,
             "sweep_points": self.sweep_points,
             "node": self.node,
+            "corank2_skipped": self.corank2_skipped,
+            "sweep_widenings": self.sweep_widenings,
         }
 
 
@@ -334,7 +347,7 @@ def _section_value(L: LaplacianMatrix, z: float, w: float, v0: int) -> tuple[flo
     return float(vec[v0]), vec
 
 
-def _track_root(p: LaurentPoly2, z: float, w_guess: float) -> float:
+def _track_root(p: LaurentPoly2 | FloatView, z: float, w_guess: float) -> float:
     """The real fiber root over z nearest to the guess."""
     ws = fiber_roots(p, z)
     real = [w.real for w in ws if abs(w.imag) <= 1e-7 * max(1.0, abs(w))]
@@ -357,7 +370,8 @@ def spectral_divisor(
 
     Positive real conductances only.  Walks each compact oval (= amoeba hole
     boundary), tracks sign changes of the continuously normalized kernel
-    component, and refines each change by bisection along the curve.  Also
+    component, and refines each change by bisection along the curve.  Samples
+    where the kernel has dimension two are skipped and counted.  Also
     evaluates the v0 principal minor at each point and at its (1/z, 1/w)
     image, whose vanishing is the two-sided divisor check.
     """
@@ -369,18 +383,19 @@ def spectral_divisor(
 
     L = build_laplacian(graph, {k: v for k, v in conductances.items()})
     p = charpoly(L)
-    q = principal_minor(L, v0)
+    qf = principal_minor(L, v0).floats()
     genus = p.newton_polygon().interior_lattice_count() - 1
     ovals = real_ovals(p, radius=radius, grid=grid, node_exclusion=node_exclusion)
     # ovals larger than the sweep window get truncated; widen and retry
-    for _ in range(2):
-        if len(ovals) >= genus:
-            break
+    widenings = 0
+    while len(ovals) < genus and widenings < 2:
+        widenings += 1
         radius *= 1.6
         grid = int(grid * 1.6)
         ovals = real_ovals(p, radius=radius, grid=grid, node_exclusion=node_exclusion)
 
     found: list[DivisorPoint] = []
+    corank2 = 0
     for k, oval in enumerate(ovals):
         pts = sorted(
             oval.points,
@@ -389,44 +404,41 @@ def spectral_divisor(
                 math.log(abs(zw[0])) - oval.centroid_log[0],
             ),
         )
-        n = len(pts)
-        # continuously aligned section values around the loop, plus wraparound
-        vals: list[float] = []
+        # section values around the loop and back; corank-2 samples have no kernel line
+        samples = []
+        for z, w in pts + pts[:1]:
+            try:
+                samples.append(((z, w), *_section_value(L, z, w, v0)))
+            except CorankTwo:
+                corank2 += 1
+        if len(samples) < 2:
+            continue
+        if samples[-1][0] != samples[0][0]:
+            samples.append(samples[0])  # close the loop on the first usable sample
+        vals: list[float] = []  # continuously aligned
         prev_vec = None
-        for z, w in pts:
-            s, vec = _section_value(L, z, w, v0)
+        for _, s, vec in samples:
             if prev_vec is not None and float(np.dot(vec, prev_vec)) < 0:
                 vec, s = -vec, -s
             prev_vec = vec
             vals.append(s)
-        s0, vec0 = _section_value(L, *pts[0], v0)
-        if float(np.dot(vec0, prev_vec)) < 0:
-            s0 = -s0
-        vals.append(s0)  # aligned value of pts[0] coming around the loop
-        for i in range(n):
+        for i in range(len(samples) - 1):
             a, b = vals[i], vals[i + 1]
             if a == 0.0 or a * b >= 0:
                 continue
-            zw = _bisect_section(L, p, pts[i], pts[(i + 1) % n], v0, refine_tol)
-            if zw is None:
+            z, w = _bisect_section(L, p, samples[i][0], samples[i + 1][0], v0, refine_tol)
+            try:
+                s, _ = _section_value(L, z, w, v0)
+            except CorankTwo:
+                corank2 += 1
                 continue
-            z, w = zw
-            s, _ = _section_value(L, z, w, v0)
-            qs = abs(complex(q.eval(z, w)))
-            qs_sigma = abs(complex(q.eval(1 / z, 1 / w)))
-            found.append(
-                DivisorPoint(
-                    z,
-                    w,
-                    abs(s),
-                    k,
-                    qs / max(q.scale_at(z, w), 1e-300),
-                    qs_sigma / max(q.scale_at(1 / z, 1 / w), 1e-300),
-                )
-            )
+            # relative |Q| at the point and at its (1/z, 1/w) image
+            qres = [abs(v) / max(scale, 1e-300) for v, scale in (qf.at(z, w), qf.at(1 / z, 1 / w))]
+            found.append(DivisorPoint(z, w, abs(s), k, *qres))
     found = _dedupe_points(found)
     node = node_check(p).to_json()
-    result = DivisorResult(genus, found, len(ovals), sum(len(o.points) for o in ovals), node)
+    sweep_points = sum(len(o.points) for o in ovals)
+    result = DivisorResult(genus, found, len(ovals), sweep_points, node, corank2, widenings)
     if check_count and not result.count_matches_genus:
         raise WrongDivisorCount(
             f"found {len(found)} divisor points, expected g = {genus}; "
@@ -436,47 +448,38 @@ def spectral_divisor(
 
 
 def _bisect_section(L, p, p1, p2, v0, tol, iters: int = 80):
-    """Bisect the kernel-component sign change along the curve between p1, p2."""
+    """Bisect the kernel-component sign change along the curve between p1, p2;
+    the last midpoint reached, or p1 if no midpoint could be evaluated."""
     (z1, w1), (z2, w2) = p1, p2
-    s1, vec1 = _section_value(L, z1, w1, v0)
+    # drive the coordinate that moves more in log scale; w drives the transpose
+    by_z = abs(math.log(abs(z2)) - math.log(abs(z1))) >= abs(math.log(abs(w2)) - math.log(abs(w1)))
+    (a1, b1), (a2, b2), f = (p1, p2, p) if by_z else ((w1, z1), (w2, z2), p.floats().transposed())
 
     def at(t: float):
-        if abs(math.log(abs(z2)) - math.log(abs(z1))) >= abs(
-            math.log(abs(w2)) - math.log(abs(w1))
-        ):
-            sz = math.copysign(1.0, z1)
-            z = sz * math.exp((1 - t) * math.log(abs(z1)) + t * math.log(abs(z2)))
-            w = _track_root(p, z, (1 - t) * w1 + t * w2)
-        else:
-            sw = math.copysign(1.0, w1)
-            w = sw * math.exp((1 - t) * math.log(abs(w1)) + t * math.log(abs(w2)))
-            z = _track_root(
-                LaurentPoly2({(j, i): v for (i, j), v in p.terms()}), w, (1 - t) * z1 + t * z2
-            )
-            z, w = z, w
-        return z, w
+        a = math.copysign(1.0, a1) * math.exp((1 - t) * math.log(abs(a1)) + t * math.log(abs(a2)))
+        b = _track_root(f, a, (1 - t) * b1 + t * b2)
+        return (a, b) if by_z else (b, a)
 
     lo, hi = 0.0, 1.0
-    s_lo = s1
-    vec_prev = vec1
-    best = None
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        try:
+    best = p1
+    try:
+        s_lo, vec_prev = _section_value(L, z1, w1, v0)
+        for _ in range(iters):
+            mid = (lo + hi) / 2
             z, w = at(mid)
-        except NoConvergence:
-            return best
-        s, vec = _section_value(L, z, w, v0)
-        if float(np.dot(vec, vec_prev)) < 0:
-            s, vec = -s, -vec
-        vec_prev = vec
-        best = (z, w)
-        if abs(s) <= tol:
-            return best
-        if (s < 0) == (s_lo < 0):
-            lo, s_lo = mid, s
-        else:
-            hi = mid
+            s, vec = _section_value(L, z, w, v0)
+            if float(np.dot(vec, vec_prev)) < 0:
+                s, vec = -s, -vec
+            vec_prev = vec
+            best = (z, w)
+            if abs(s) <= tol:
+                break
+            if (s < 0) == (s_lo < 0):
+                lo, s_lo = mid, s
+            else:
+                hi = mid
+    except (NoConvergence, CorankTwo):
+        pass  # keep the last point reached
     return best
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -12,12 +13,14 @@ from network_spectra.errors import (
     WrongDivisorCount,
 )
 from network_spectra.fixtures import build, tri2_generic
-from network_spectra.laplacian import build_laplacian, charpoly
+from network_spectra import spectral
+from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
     amoeba,
     curve_samples,
     fiber_roots,
+    fiber_roots_in_z,
     infinity_coordinates,
     null_vectors,
     real_ovals,
@@ -73,6 +76,79 @@ def test_degenerate_fiber():
         fiber_roots(p, 0.0)
 
 
+def test_degenerate_fiber_at_asymptote():
+    # the top w-coefficient (z - 2) and the bottom one (z - 3) vanish at z = 2, 3
+    p = LaurentPoly2({(1, 1): 1, (0, 1): -2, (1, -1): 1, (0, -1): -3, (0, 0): 1})
+    for z in (2.0, 3.0):
+        with pytest.raises(DegenerateFiber):
+            fiber_roots(p, z)
+    with pytest.raises(DegenerateFiber):
+        fiber_roots_in_z(LaurentPoly2({(1, 1): 1, (1, 0): -2, (0, 0): 1}), 2.0)
+    assert len(fiber_roots(p, 2.5)) == 2
+
+
+def _tri2_poly():
+    g, c = tri2_generic()
+    return charpoly(build_laplacian(g, c))
+
+
+@pytest.mark.parametrize("z", [Fraction(3, 5), Fraction(-7, 4), Fraction(2)])
+def test_fiber_roots_match_exact_fiber_coefficients(z):
+    # fiber coefficients from exact evaluation of each w-row at the Fraction z
+    p = _tri2_poly()
+    js = sorted({j for _, j in p.support()})
+    rows = [LaurentPoly2({(i, 0): v for (i, jj), v in p.terms() if jj == j}) for j in js]
+    assert js == list(range(js[0], js[-1] + 1))
+    expected = np.roots([float(row.eval(z, 1)) for row in reversed(rows)])
+    got = fiber_roots(p, float(z))
+    assert len(got) == len(expected)
+    for w in got:
+        assert min(abs(w - r) for r in expected) <= 1e-10 * max(1.0, abs(w))
+
+
+def test_fiber_roots_in_z_match_explicit_transpose(rng):
+    p = _tri2_poly()
+    swapped = LaurentPoly2({(j, i): v for (i, j), v in p.terms()})
+    for _ in range(4):
+        w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        got = sorted(fiber_roots_in_z(p, w), key=lambda z: (z.real, z.imag))
+        ref = sorted(fiber_roots(swapped, w), key=lambda z: (z.real, z.imag))
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
+def test_newton_polish_repairs_perturbed_roots(monkeypatch, rng):
+    p = _tri2_poly()
+    companion_roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: companion_roots(c) * (1 + 1e-6))
+    for _ in range(5):
+        z = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        for w in fiber_roots(p, z):
+            assert abs(p.eval(z, w)) <= 1e-11 * p.scale_at(z, w)
+
+
+def test_float_view_not_inherited():
+    p = LaurentPoly2({(2, 1): 3, (0, -1): 1, (1, 0): -2})
+    view = p.floats()
+    assert p.floats() is view
+    for derived in (p.derivative("w"), p.involution(), p + 1):
+        other = derived.floats()
+        assert other is not view
+        assert (other.imin, other.jmin) != (view.imin, view.jmin) or not np.array_equal(
+            other.C, view.C
+        )
+
+
+def test_polish_cap_logged(sq1_poly, caplog):
+    # a zero tolerance is never met, so every root runs to the step cap
+    with caplog.at_level(logging.DEBUG, logger="network_spectra.spectral"):
+        roots = fiber_roots(sq1_poly, complex(0.7, 0.2), tol=0.0)
+    assert len(roots) == 2
+    capped = [r for r in caplog.records if "polish cap" in r.getMessage()]
+    assert len(capped) == 1
+
+
 def test_amoeba_sq1_symmetric_no_holes(sq1_poly):
     cloud = amoeba(sq1_poly, grid=40, radius=3.0, phases=16)
     assert cloud.symmetric_defect() < 0.05
@@ -124,6 +200,21 @@ def test_null_vectors_smooth_sample():
     assert s[-2] > 1e-3  # numerical corank exactly 1
 
 
+@pytest.mark.parametrize("name", ["hex1", "sq2", "tri2"])
+def test_numeric_laplacian_matches_exact_entries(name, rng):
+    # the matrix null_vectors decomposes, against the exact entries at rational
+    # points and their complex evaluation elsewhere
+    g, c = build(name)
+    L = build_laplacian(g, c)
+    points = [(Fraction(3, 4), Fraction(-5, 3)), (Fraction(-2), Fraction(7, 5))]
+    points += [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), complex(rng.uniform(-2, 2), 1.0))]
+    for z, w in points:
+        m = np.array(
+            [[complex(L.entries[i][j].eval(z, w)) for j in range(L.size)] for i in range(L.size)]
+        )
+        assert np.allclose(laplacian_matrix_at(L, complex(z), complex(w)), m, rtol=1e-13, atol=1e-13)
+
+
 def test_null_vector_sigma_relation():
     # U^T Delta(z, w) = 0 forces Delta(1/z, 1/w) U = 0, so the kernel vector
     # at the involuted point is collinear with U (no conjugation)
@@ -171,6 +262,34 @@ def test_divisor_tri2():
         assert p.section_residual <= 1e-9
         assert p.q_residual <= 1e-6
         assert p.q_residual_sigma <= 1e-6
+
+
+def test_divisor_reports_skips_and_widenings():
+    g, c = tri2_generic()
+    data = spectral_divisor(g, c, v0=0).to_json()
+    assert data["corank2_skipped"] == 0
+    assert data["sweep_widenings"] == 0
+    # a window too small for the ovals is widened (up to twice)
+    narrow = spectral_divisor(g, c, v0=0, radius=0.5, grid=60)
+    assert 1 <= narrow.sweep_widenings <= 2
+
+
+def test_divisor_skips_corank_two_samples(monkeypatch):
+    g, c = tri2_generic()
+    calls = 0
+    real = spectral.null_vectors
+
+    def flaky(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls % 7 == 0:
+            raise CorankTwo("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "null_vectors", flaky)
+    res = spectral_divisor(g, c, v0=0)
+    assert len(res.points) == res.genus == 2
+    assert res.corank2_skipped > 0
 
 
 def test_divisor_needs_two_vertices():
