@@ -75,7 +75,7 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 def cmd_charpoly(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    p = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
+    p = charpoly(L := build_laplacian(graph, c), max_vertices=args.bound)
     node = node_check(p)
     data = {
         "charpoly": _poly_json(p),
@@ -85,7 +85,7 @@ def cmd_charpoly(args) -> tuple[int, dict]:
     }
     ok = node.is_node and data["sigma_symmetric"]
     if graph.n_vertices >= 2:
-        data["principal_minor_v0"] = _poly_json(principal_minor(build_laplacian(graph, c), 0))
+        data["principal_minor_v0"] = _poly_json(principal_minor(L, 0))
     return (0 if ok else 1), data
 
 

@@ -1,7 +1,7 @@
 """Exception types and the size bound shared across the package."""
 
 # The one bound on the exact routines, each counting its own blow-up:
-# vertices for the 2^V determinant, edges for the 2^E forest enumerations,
+# vertices for the exact determinant, edges for the 2^E forest enumerations,
 # white vertices for the dimer-cover search.
 SIZE_BOUND = 24
 

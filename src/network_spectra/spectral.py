@@ -16,7 +16,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -638,7 +638,7 @@ def curve_samples(
 # -- output writers -----------------------------------------------------------------
 
 
-def write_amoeba_csv(path, cloud: AmoebaCloud, samples: Iterable[CurveSample] = ()) -> None:
+def write_amoeba_csv(path, cloud: AmoebaCloud) -> None:
     with open(path, "w") as fh:
         fh.write("log_abs_z,log_abs_w\n")
         for x, y in cloud.points:

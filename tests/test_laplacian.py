@@ -1,11 +1,19 @@
+import logging
+import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from network_spectra.errors import SingleVertexGraph, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import (
+    _det_dp,
+    _det_grid,
     build_laplacian,
     charpoly,
     node_check,
@@ -151,3 +159,89 @@ def test_polygon_matches_zigzag(any_network, rng):
     c = random_rational_conductances(g, rng)
     assert charpoly(build_laplacian(g, c)).newton_polygon() == zigzag_polygon(g)
 
+
+
+# -- the two determinant engines ----------------------------------------------------
+
+def _lattice(kind, m, n):
+    """perfbench's m x n lattice generator, executed from its file (it imports only
+    graph_core), so the benchmark directory is read and never imported or written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
+    mod = types.ModuleType("perfbench_lattice")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod.lattice(kind, m, n)
+
+
+def _minor_rows(L, v0=0):
+    keep = [v for v in range(L.size) if v != v0]
+    return [[L.entry(u, v) for v in keep] for u in keep]
+
+
+_coeff = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+_entry = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _coeff, max_size=3)
+
+
+@st.composite
+def _laurent_matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[LaurentPoly2(draw(_entry)) for _ in range(n)] for _ in range(n)]
+    zero_row = draw(st.none() | st.integers(0, n - 1))
+    if zero_row is not None:
+        rows[zero_row] = [LaurentPoly2.zero()] * n
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_laurent_matrices())
+@example([[LaurentPoly2({(-3, 2): Fraction(7, 999983), (1, -1): -2})]])
+@example([[LaurentPoly2.monomial(1, 0), LaurentPoly2.one()], [LaurentPoly2.zero()] * 2])
+@example([[LaurentPoly2.zero(), LaurentPoly2.one()], [LaurentPoly2.monomial(0, -1), LaurentPoly2.zero()]])
+def test_grid_engine_matches_dp(rows):
+    assert _det_grid(rows) == _det_dp(rows)
+
+
+@pytest.mark.parametrize("kind,m,n", [("sq", 3, 3), ("tri", 3, 3), ("sq", 4, 3)])
+def test_grid_engine_matches_dp_on_lattices(kind, m, n):
+    g = _lattice(kind, m, n)
+    L = build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=False))
+    assert L.size > 8  # charpoly takes the grid engine
+    assert charpoly(L) == _det_dp(L.entries)
+    assert principal_minor(L, 0) == _det_dp(_minor_rows(L))
+
+
+def _fraction_det(m):
+    """Gaussian elimination over Fraction: the oracle that uses neither engine."""
+    m, det = [list(row) for row in m], Fraction(1)
+    for k in range(len(m)):
+        r = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            m[k], m[r], det = m[r], m[k], -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            for j in range(k, len(m)):
+                row[j] -= f * m[k][j]
+    return det
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_grid_engine_large_lattices(m):
+    g = _lattice("sq", m, m)
+    L = build_laplacian(g, random_rational_conductances(g, random.Random(m)))
+    p = charpoly(L, max_vertices=L.size)
+    for z, w in [(Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5, 3)), (Fraction(3, 7), Fraction(-2))]:
+        assert p.eval(z, w) == _fraction_det([[e.eval(z, w) for e in row] for row in L.entries])
+    assert p.newton_polygon() == zigzag_polygon(g)
+    assert p == p.involution()
+    assert node_check(p).is_node
+
+
+def test_det_logs_engine(caplog):
+    g = _lattice("sq", 3, 3)
+    L = build_laplacian(g, random_rational_conductances(g, random.Random(1)))
+    with caplog.at_level(logging.DEBUG, logger="network_spectra.laplacian"):
+        charpoly(L)
+        principal_minor(L, 0)
+    assert [r.getMessage() for r in caplog.records] == ["det: grid, V=9, grid 7x7", "det: subset DP, V=8"]
