@@ -3,9 +3,10 @@
 Every subcommand loads a network from a JSON file (or a bundled fixture name
 such as ``sq1``), runs its checks, writes a JSON report into the output
 directory, and exits 0 only if all asserted checks passed.  Exit codes:
-0 success, 1 failed checks, 2 usage errors and malformed network or
+0 success, 1 failed checks, 2 usage errors, malformed network or
 move-program files (invalid JSON, missing keys, zero conductances, unknown
-move ops), 3 I/O errors.
+move ops, a ``steps`` that is not an integer) and out-of-range vertex or face
+ids, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import fixtures as fixture_lib
 from .errors import SIZE_BOUND, InputError, NetworkSpectraError
-from .graph_core import TorusGraph, read_json, unit_conductances
+from .graph_core import TorusGraph, unit_conductances
 from .laplacian import build_laplacian, charpoly, node_check, principal_minor
 from .forests import (
     boundary_point_counts,
@@ -189,9 +190,8 @@ def cmd_ydelta(args) -> tuple[int, dict]:
 
 def cmd_evolve(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    prog_data = read_json(args.program)
-    program = MoveProgram.from_json(prog_data)
-    steps = args.steps if args.steps is not None else int(prog_data.get("steps", 10))
+    program = MoveProgram.load(args.program)
+    steps = args.steps if args.steps is not None else program.steps
     if args.random_conductances:
         from .graph_core import random_rational_conductances
 
@@ -219,6 +219,8 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     if graph.n_vertices >= 2 and all(float(x) > 0 for x in c.values()):
         try:
             divisor = spectral.spectral_divisor(graph, c, v0=args.v0)
+        except InputError:
+            raise
         except NetworkSpectraError as exc:
             divisor_error = f"{type(exc).__name__}: {exc}"
     # the divisor already swept the ovals (the amoeba holes); sweep only without it

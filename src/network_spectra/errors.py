@@ -1,4 +1,8 @@
-"""Exception types and the size bound shared across the package."""
+"""Exception types and the size bound shared across the package.
+
+A class exists only when code catches it by type or the CLI prints its name;
+every other failure raises ``NetworkSpectraError`` with its own message.
+"""
 
 # The one bound on the exact routines, each counting its own blow-up:
 # vertices for the exact determinant, edges for the 2^E forest enumerations,
@@ -7,39 +11,16 @@ SIZE_BOUND = 24
 
 
 class NetworkSpectraError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package (CLI exit 1)."""
 
 
 class InputError(NetworkSpectraError):
-    """A network or move-program file is malformed."""
+    """A network or move-program file is malformed, or a vertex or face id is
+    out of range (CLI exit 2)."""
 
 
 class GraphValidationError(NetworkSpectraError):
     """A graph failed a structural check."""
-
-
-class NonTorusEuler(GraphValidationError):
-    pass
-
-
-class NonContractibleFace(GraphValidationError):
-    pass
-
-
-class BadRotation(GraphValidationError):
-    pass
-
-
-class ZeroEvaluationPoint(NetworkSpectraError):
-    pass
-
-
-class ZeroPolynomial(NetworkSpectraError):
-    pass
-
-
-class SingleVertexGraph(NetworkSpectraError):
-    pass
 
 
 class TooLarge(NetworkSpectraError):
@@ -51,69 +32,17 @@ def check_size(count: int, what: str, bound: int) -> None:
         raise TooLarge(f"{count} {what} exceeds the size bound {bound}")
 
 
-class NotAMatching(NetworkSpectraError):
-    pass
-
-
-class NonClosingBoundary(NetworkSpectraError):
-    pass
-
-
-class AmbiguousCone(NetworkSpectraError):
-    pass
-
-
-class FanAmbiguity(NetworkSpectraError):
-    pass
-
-
-class NotAPolygonVertex(NetworkSpectraError):
-    pass
-
-
-class StrandNotOnEdgeFamily(NetworkSpectraError):
-    pass
-
-
-class BadDegree(NetworkSpectraError):
-    pass
-
-
-class LoopAtVertex(NetworkSpectraError):
-    pass
-
-
 class SingularDenominator(NetworkSpectraError):
-    pass
-
-
-class NotATriangle(NetworkSpectraError):
-    pass
-
-
-class IsomorphismMismatch(NetworkSpectraError):
-    pass
-
-
-class PathDependence(NetworkSpectraError):
-    pass
+    """A Y-Delta move divides by zero at these conductances."""
 
 
 class DegenerateFiber(NetworkSpectraError):
-    pass
+    """A fiber has no well-defined roots (z = 0, or an extreme coefficient vanishes)."""
 
 
 class CorankTwo(NetworkSpectraError):
-    pass
-
-
-class WrongDivisorCount(NetworkSpectraError):
-    pass
-
-
-class NonHarnackInput(NetworkSpectraError):
-    pass
+    """The Laplacian has a kernel of dimension two or more at a point."""
 
 
 class NoConvergence(NetworkSpectraError):
-    pass
+    """A float iteration lost the branch it was following."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SIZE_BOUND, NotAPolygonVertex, StrandNotOnEdgeFamily, check_size
+from .errors import SIZE_BOUND, NetworkSpectraError, check_size
 from .graph_core import TorusGraph, Vec, vadd
 from .laurent import LaurentPoly2, NewtonPolygon
 from .zigzag import StrandSystem, fans, zigzag_polygon
@@ -372,7 +372,7 @@ def extremal_ocrsf(graph: TorusGraph, polygon_vertex: Vec) -> OrientedForest:
     poly = zigzag_polygon(graph)
     v = (int(polygon_vertex[0]), int(polygon_vertex[1]))
     if v not in poly.vertices:
-        raise NotAPolygonVertex(f"{v} is not a vertex of {poly.vertices}")
+        raise NetworkSpectraError(f"{v} is not a vertex of {poly.vertices}")
     return extremal_table(graph)[v]
 
 
@@ -426,10 +426,10 @@ def external_ocrsf(
     families = polygon_edge_families(graph)
     fam = next((f for f in families if f["v1"] == v1 and f["v2"] == v2), None)
     if fam is None:
-        raise NotAPolygonVertex(f"({v1}, {v2}) is not a ccw boundary edge")
+        raise NetworkSpectraError(f"({v1}, {v2}) is not a ccw boundary edge")
     subset = list(subset)
     if len(set(subset)) != len(subset) or any(s not in fam["strands"] for s in subset):
-        raise StrandNotOnEdgeFamily(
+        raise NetworkSpectraError(
             f"subset {subset} not within the family {fam['strands']} of edge ({v1}, {v2})"
         )
     sys = StrandSystem(graph)

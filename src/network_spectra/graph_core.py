@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import BadRotation, GraphValidationError, InputError, NonContractibleFace, NonTorusEuler
+from .errors import GraphValidationError, InputError
 
 Vec = tuple[int, int]
 
@@ -53,17 +53,6 @@ class Edge:
     disp: Vec
 
 
-@dataclass(frozen=True)
-class Dart:
-    """Read-only view of one dart (half-edge)."""
-
-    id: int
-    edge: int
-    tail: int
-    head: int
-    displacement: Vec
-
-
 @dataclass
 class ValidationReport:
     n_vertices: int
@@ -80,14 +69,8 @@ class ValidationReport:
         return not self.problems
 
     def raise_if_failed(self) -> None:
-        for p in self.problems:
-            if p.startswith("euler"):
-                raise NonTorusEuler(p)
-            if p.startswith("face"):
-                raise NonContractibleFace(p)
-            if p.startswith("rotation"):
-                raise BadRotation(p)
-            raise GraphValidationError(p)
+        if self.problems:
+            raise GraphValidationError(self.problems[0])
 
     def to_json(self) -> dict:
         return {
@@ -164,12 +147,6 @@ class TorusGraph:
     def disp(self, d: int) -> Vec:
         e = self.edges[d >> 1]
         return e.disp if not d & 1 else vneg(e.disp)
-
-    def dart(self, d: int) -> Dart:
-        return Dart(d, d >> 1, self.tail_of(d), self.head_of(d), self.disp(d))
-
-    def darts(self) -> range:
-        return range(self.n_darts)
 
     def rot_next(self, d: int) -> int:
         v, k = self._rot_pos[d]
@@ -398,7 +375,7 @@ class TorusGraph:
     # -- JSON -----------------------------------------------------------------
 
     @classmethod
-    def from_json_dict(cls, data: dict, check: bool = True):
+    def from_json_dict(cls, data: dict):
         """Parse the interchange format; returns (graph, conductances or None)."""
         try:
             vertices = data["vertices"]
@@ -420,7 +397,7 @@ class TorusGraph:
             rotation = {int(v): tuple(ds) for v, ds in data["rotation"].items()}
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise InputError(f"malformed network: {type(exc).__name__}: {exc}") from None
-        graph = cls(n, edges, rotation, positions=positions, check=check)
+        graph = cls(n, edges, rotation, positions=positions)
         return graph, (conductances if has_c else None)
 
     def to_json_dict(self, conductances: Mapping[int, object] | None = None) -> dict:
@@ -443,8 +420,8 @@ class TorusGraph:
         }
 
     @classmethod
-    def load(cls, path, check: bool = True):
-        return cls.from_json_dict(read_json(path), check=check)
+    def load(cls, path):
+        return cls.from_json_dict(read_json(path))
 
     def save(self, path, conductances=None) -> None:
         with open(path, "w") as fh:
@@ -460,15 +437,6 @@ class SuperposedGraph:
         self.graph = graph
         self.n_black = base.n_vertices + base.n_faces
         self.n_white = base.n_edges
-
-    def white_of_edge(self, e: int) -> int:
-        return self.base.n_vertices + self.base.n_faces + e
-
-    def black_of_vertex(self, v: int) -> int:
-        return v
-
-    def black_of_face(self, f: int) -> int:
-        return self.base.n_vertices + f
 
     def is_white(self, v: int) -> bool:
         return v >= self.n_black
@@ -614,7 +582,26 @@ def _try_extend(g1, g2, v0, w0, align, reverse):
     return vmap, dart_map, shift
 
 
-def isomorphic(g1: TorusGraph, g2: TorusGraph, allow_reversal: bool = True) -> bool:
-    if find_isomorphism(g1, g2) is not None:
-        return True
-    return allow_reversal and find_isomorphism(g1, g2, orientation_reversing=True) is not None
+def is_isomorphism(
+    g1: TorusGraph, g2: TorusGraph, vertex_map: Mapping[int, int], edge_map: Mapping[int, int]
+) -> bool:
+    """Whether the maps of g1's vertices and edges onto g2's are an isomorphism:
+    rotations in the same cyclic order, displacements up to a deck coboundary.
+
+    An isomorphism is fixed by the image of one dart, so it is enough to extend
+    each rotation alignment at vertex 0 and compare the extension with the maps.
+    """
+    for k in range(g1.degree(0)):
+        res = _try_extend(g1, g2, 0, vertex_map.get(0), k, False)
+        if res is None:
+            continue
+        vmap, dart_map, _ = res
+        emap = {g1.edge_of(d): g2.edge_of(img) for d, img in dart_map.items()}
+        if vmap == vertex_map and emap == edge_map:
+            return True
+    return False
+
+
+def isomorphic(g1: TorusGraph, g2: TorusGraph) -> bool:
+    """Isomorphic as torus graphs, orientation-reversing maps included."""
+    return any(find_isomorphism(g1, g2, rev) is not None for rev in (False, True))

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SIZE_BOUND, InputError, SingleVertexGraph, check_size
+from .errors import SIZE_BOUND, InputError, NetworkSpectraError, check_size
 from .graph_core import TorusGraph
 from .laurent import LaurentPoly2
 
@@ -169,7 +169,9 @@ def charpoly(L: LaplacianMatrix, max_vertices: int = SIZE_BOUND) -> LaurentPoly2
 def principal_minor(L: LaplacianMatrix, v0: int) -> LaurentPoly2:
     """det of the Laplacian with the row and column of ``v0`` removed."""
     if L.size < 2:
-        raise SingleVertexGraph("the principal minor needs at least two vertices")
+        raise NetworkSpectraError("the principal minor needs at least two vertices")
+    if not 0 <= v0 < L.size:
+        raise InputError(f"vertex {v0} is out of range 0..{L.size - 1}")
     keep = [v for v in range(L.size) if v != v0]
     rows = [[L.entries[u][v] for v in keep] for u in keep]
     return _det(rows)

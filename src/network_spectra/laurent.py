@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ZeroEvaluationPoint, ZeroPolynomial
+from .errors import NetworkSpectraError
 
 Exponent = tuple[int, int]
 
@@ -211,7 +211,7 @@ class LaurentPoly2:
     def eval(self, z, w):
         """Evaluate at nonzero z, w (exact for Fraction/int, complex otherwise)."""
         if z == 0 or w == 0:
-            raise ZeroEvaluationPoint("Laurent polynomials have poles at z=0 or w=0")
+            raise NetworkSpectraError("Laurent polynomials have poles at z=0 or w=0")
         if _is_exact(z) and _is_exact(w):
             z, w = Fraction(z), Fraction(w)
             total = Fraction(0)
@@ -241,7 +241,7 @@ class LaurentPoly2:
 
     def newton_polygon(self) -> "NewtonPolygon":
         if not self._c:
-            raise ZeroPolynomial("the zero polynomial has no Newton polygon")
+            raise NetworkSpectraError("the zero polynomial has no Newton polygon")
         return NewtonPolygon.from_points(self._c.keys())
 
     # -- serialization -------------------------------------------------------
@@ -445,15 +445,6 @@ class NewtonPolygon:
             for x in range(x0, x1 + 1)
             for y in range(y0, y1 + 1)
             if self.contains((x, y), strict=True)
-        ]
-
-    def boundary_lattice_points(self) -> list[Exponent]:
-        x0, x1, y0, y1 = self._bounding_box()
-        return [
-            (x, y)
-            for x in range(x0, x1 + 1)
-            for y in range(y0, y1 + 1)
-            if self.contains((x, y)) and not self.contains((x, y), strict=True)
         ]
 
     def lattice_points(self) -> list[Exponent]:

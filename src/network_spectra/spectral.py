@@ -1,9 +1,10 @@
-"""Floating-point spectral data: curve samples, amoebas, kernel vectors,
-divisor points on ovals, and experimental points-at-infinity estimates.
+"""Floating-point spectral data: amoebas, kernel vectors, divisor points on
+ovals, and experimental points-at-infinity estimates.
 
 Everything here consumes the exact characteristic polynomial but computes in
-floating point; tolerances are explicit arguments with the defaults used by
-the acceptance checks (root residual 1e-12 relative, divisor refinement 1e-9).
+floating point; the tolerances a caller sets are arguments with the defaults
+used by the acceptance checks (root residual 1e-12 relative, divisor
+refinement 1e-9), the rest are the module constants below.
 
 No Fraction is converted per evaluation: fibers read the float coefficient
 matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
@@ -20,14 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CorankTwo,
-    DegenerateFiber,
-    NoConvergence,
-    NonHarnackInput,
-    SingleVertexGraph,
-    WrongDivisorCount,
-)
+from .errors import CorankTwo, DegenerateFiber, NetworkSpectraError, NoConvergence
 from .graph_core import TorusGraph
 from .laplacian import LaplacianMatrix, build_laplacian, laplacian_matrix_at, principal_minor
 from .laurent import FloatView, LaurentPoly2
@@ -35,6 +29,15 @@ from .laurent import FloatView, LaurentPoly2
 ROOT_TOL = 1e-12
 REFINE_TOL = 1e-9
 POLISH_ITERS = 50
+CORANK_TOL = 1e-6        # relative size of the second-smallest singular value at corank two
+NODE_EXCLUSION = 1e-3    # real points this close to the node (1, 1) are dropped
+OVAL_MARGIN = 0.4        # a cluster this close to the sweep edge in log scale is unbounded
+BISECT_ITERS = 80
+DEDUPE_TOL = 1e-5        # divisor points closer than this (relative) are one point
+DEFECT_BINS = 40         # occupancy grid of the symmetry defect, per axis
+TENTACLE_T_MAX = 9.0     # tentacles are followed over |log| in [T_MAX / 2, T_MAX]
+TENTACLE_STEPS = 12
+SVG_SIZE = 600
 
 log = logging.getLogger(__name__)
 
@@ -83,18 +86,7 @@ def fiber_roots_in_z(p: LaurentPoly2, w: complex, tol: float = ROOT_TOL) -> list
     return fiber_roots(p.floats().transposed(), w, tol=tol)
 
 
-# -- curve samples and the amoeba ---------------------------------------------
-
-
-@dataclass
-class CurveSample:
-    z: complex
-    w: complex
-    log_abs: tuple[float, float]
-    sigma_min: float
-    residual: float
-    U: np.ndarray | None = None
-    V: np.ndarray | None = None
+# -- the amoeba ---------------------------------------------------------------
 
 
 @dataclass
@@ -107,8 +99,9 @@ class AmoebaCloud:
     def points(self) -> list[tuple[float, float]]:
         return [(math.log(abs(z)), math.log(abs(w))) for z, w in self.samples]
 
-    def symmetric_defect(self, bins: int = 40) -> float:
+    def symmetric_defect(self) -> float:
         """Fraction of occupied cells whose point reflection is empty."""
+        bins = DEFECT_BINS
         grid = _occupancy(self.points, self.radius, bins)
         occ = {(i, j) for i in range(bins) for j in range(bins) if grid[i][j]}
         bad = sum(1 for (i, j) in occ if (bins - 1 - i, bins - 1 - j) not in occ)
@@ -160,7 +153,6 @@ def null_vectors(
     L: LaplacianMatrix,
     z: complex,
     w: complex,
-    corank_tol: float = 1e-6,
 ):
     """(U, V, sigma_min): left/right kernel vectors at a near-curve point.
 
@@ -171,8 +163,8 @@ def null_vectors(
     m = laplacian_matrix_at(L, z, w)
     u, s, vh = np.linalg.svd(m)
     scale = s[0] if s[0] > 0 else 1.0
-    if len(s) >= 2 and s[-2] <= corank_tol * scale:
-        raise CorankTwo(f"two singular values below {corank_tol} * scale at ({z}, {w})")
+    if len(s) >= 2 and s[-2] <= CORANK_TOL * scale:
+        raise CorankTwo(f"two singular values below {CORANK_TOL} * scale at ({z}, {w})")
     return u[:, -1].conj(), vh[-1, :].conj(), float(s[-1])
 
 
@@ -231,7 +223,7 @@ class DivisorResult:
 
 
 def _real_curve_points(
-    p: LaurentPoly2, radius: float, grid: int, node_exclusion: float
+    p: LaurentPoly2, radius: float, grid: int
 ) -> list[tuple[float, float]]:
     """Real points of the curve from sign-quadrant log sweeps in z and w."""
     pts = []
@@ -258,7 +250,7 @@ def _real_curve_points(
     return [
         (z, w)
         for z, w in pts
-        if (z - 1) ** 2 + (w - 1) ** 2 > node_exclusion**2
+        if (z - 1) ** 2 + (w - 1) ** 2 > NODE_EXCLUSION**2
     ]
 
 
@@ -279,21 +271,17 @@ def real_ovals(
     p: LaurentPoly2,
     radius: float = 6.0,
     grid: int = 360,
-    node_exclusion: float = 1e-3,
-    link: float | None = None,
-    margin: float = 0.4,
 ) -> list[RealOval]:
     """Cluster real curve points into components; keep the bounded ones.
 
     Points are linked within one sign quadrant when their log-space distance
-    is below ``link`` (a few sweep steps); clusters reaching the sweep
-    boundary are unbounded branches, the rest are compact ovals.
+    is below a few sweep steps; clusters reaching the sweep boundary are
+    unbounded branches, the rest are compact ovals.
     """
-    pts = _real_curve_points(p, radius, grid, node_exclusion)
+    pts = _real_curve_points(p, radius, grid)
     if not pts:
         return []
-    if link is None:
-        link = max(8.0 * radius / grid, 0.08)
+    link = max(8.0 * radius / grid, 0.08)
     keyed = [
         (math.copysign(1, z), math.copysign(1, w), math.log(abs(z)), math.log(abs(w)), z, w)
         for z, w in pts
@@ -328,7 +316,7 @@ def real_ovals(
         if len(members) < 8:
             continue
         logs = [(keyed[k][2], keyed[k][3]) for k in members]
-        if any(max(abs(x), abs(y)) > radius - margin for x, y in logs):
+        if any(max(abs(x), abs(y)) > radius - OVAL_MARGIN for x, y in logs):
             continue  # reaches the sweep boundary: an unbounded branch
         cx = sum(x for x, _ in logs) / len(logs)
         cy = sum(y for _, y in logs) / len(logs)
@@ -363,7 +351,6 @@ def spectral_divisor(
     radius: float = 6.0,
     grid: int = 360,
     refine_tol: float = REFINE_TOL,
-    node_exclusion: float = 1e-3,
     check_count: bool = False,
 ) -> DivisorResult:
     """Zeros of the v0 kernel-vector component along the compact ovals.
@@ -376,23 +363,23 @@ def spectral_divisor(
     image, whose vanishing is the two-sided divisor check.
     """
     if graph.n_vertices < 2:
-        raise SingleVertexGraph("the kernel section needs at least two vertices")
+        raise NetworkSpectraError("the kernel section needs at least two vertices")
     if any(float(c) <= 0 for c in conductances.values()):
-        raise NonHarnackInput("positive real conductances required")
+        raise NetworkSpectraError("positive real conductances required")
     from .laplacian import charpoly, node_check
 
     L = build_laplacian(graph, {k: v for k, v in conductances.items()})
     p = charpoly(L)
     qf = principal_minor(L, v0).floats()
     genus = p.newton_polygon().interior_lattice_count() - 1
-    ovals = real_ovals(p, radius=radius, grid=grid, node_exclusion=node_exclusion)
+    ovals = real_ovals(p, radius=radius, grid=grid)
     # ovals larger than the sweep window get truncated; widen and retry
     widenings = 0
     while len(ovals) < genus and widenings < 2:
         widenings += 1
         radius *= 1.6
         grid = int(grid * 1.6)
-        ovals = real_ovals(p, radius=radius, grid=grid, node_exclusion=node_exclusion)
+        ovals = real_ovals(p, radius=radius, grid=grid)
 
     found: list[DivisorPoint] = []
     corank2 = 0
@@ -440,14 +427,14 @@ def spectral_divisor(
     sweep_points = sum(len(o.points) for o in ovals)
     result = DivisorResult(genus, found, len(ovals), sweep_points, node, corank2, widenings)
     if check_count and not result.count_matches_genus:
-        raise WrongDivisorCount(
+        raise NetworkSpectraError(
             f"found {len(found)} divisor points, expected g = {genus}; "
             f"ovals = {len(ovals)}"
         )
     return result
 
 
-def _bisect_section(L, p, p1, p2, v0, tol, iters: int = 80):
+def _bisect_section(L, p, p1, p2, v0, tol):
     """Bisect the kernel-component sign change along the curve between p1, p2;
     the last midpoint reached, or p1 if no midpoint could be evaluated."""
     (z1, w1), (z2, w2) = p1, p2
@@ -464,7 +451,7 @@ def _bisect_section(L, p, p1, p2, v0, tol, iters: int = 80):
     best = p1
     try:
         s_lo, vec_prev = _section_value(L, z1, w1, v0)
-        for _ in range(iters):
+        for _ in range(BISECT_ITERS):
             mid = (lo + hi) / 2
             z, w = at(mid)
             s, vec = _section_value(L, z, w, v0)
@@ -478,16 +465,16 @@ def _bisect_section(L, p, p1, p2, v0, tol, iters: int = 80):
                 lo, s_lo = mid, s
             else:
                 hi = mid
-    except (NoConvergence, CorankTwo):
+    except (NoConvergence, CorankTwo, DegenerateFiber):
         pass  # keep the last point reached
     return best
 
 
-def _dedupe_points(points: list[DivisorPoint], tol: float = 1e-5) -> list[DivisorPoint]:
+def _dedupe_points(points: list[DivisorPoint]) -> list[DivisorPoint]:
     out: list[DivisorPoint] = []
     for p in points:
         if all(
-            math.hypot(p.z - q.z, p.w - q.w) > tol * (1 + abs(p.z) + abs(p.w))
+            math.hypot(p.z - q.z, p.w - q.w) > DEDUPE_TOL * (1 + abs(p.z) + abs(p.w))
             for q in out
         ):
             out.append(p)
@@ -518,8 +505,6 @@ class TentacleEstimate:
 def infinity_coordinates(
     graph: TorusGraph,
     conductances: Mapping[int, object],
-    t_max: float = 9.0,
-    steps: int = 12,
 ) -> list[TentacleEstimate]:
     """Per-boundary-edge limits of the class monomial along amoeba tentacles.
 
@@ -545,15 +530,15 @@ def infinity_coordinates(
         normal = (b, -a)  # outward for ccw boundary
         edge_poly = [float(p.coeff(v1[0] + t * a, v1[1] + t * b)) for t in range(g + 1)]
         roots = [complex(r) for r in np.roots(list(reversed(edge_poly)))]
-        limits, uncerts = _follow_tentacle(p, (a, b), normal, g, t_max, steps)
+        limits, uncerts = _follow_tentacle(p, (a, b), normal, g)
         out.append(TentacleEstimate((a, b), g, roots, limits, uncerts))
     return out
 
 
-def _follow_tentacle(p, prim, normal, count, t_max, steps):
+def _follow_tentacle(p, prim, normal, count):
     """Track the `count` branches along direction `normal`, evaluating chi^prim."""
     a, b = prim
-    ts = np.linspace(t_max / 2, t_max, steps)
+    ts = np.linspace(TENTACLE_T_MAX / 2, TENTACLE_T_MAX, TENTACLE_STEPS)
     drive_z = abs(normal[0]) >= abs(normal[1])
     tracks: list[list[complex]] = [[] for _ in range(count)]
     for t in ts:
@@ -586,55 +571,6 @@ def _follow_tentacle(p, prim, normal, count, t_max, steps):
     return limits, uncerts
 
 
-# -- residual samples ----------------------------------------------------------------
-
-
-def curve_samples(
-    p: LaurentPoly2,
-    L: LaplacianMatrix,
-    n_samples: int = 20,
-    radius: float = 1.0,
-    tol: float = ROOT_TOL,
-    seed: int = 1,
-) -> list[CurveSample]:
-    """Random curve samples with kernel vectors, for residual reporting."""
-    import random
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < n_samples:
-        t = rng.uniform(-radius, radius)
-        phase = rng.uniform(0, 2 * math.pi)
-        z = cmath.exp(t + 1j * phase)
-        try:
-            ws = fiber_roots(p, z, tol=tol)
-        except DegenerateFiber:
-            continue
-        for w in ws:
-            if abs(w) == 0:
-                continue
-            val = abs(p.eval(z, w))
-            scale = p.scale_at(z, w)
-            try:
-                U, V, smin = null_vectors(L, z, w)
-            except CorankTwo:
-                continue
-            out.append(
-                CurveSample(
-                    z,
-                    w,
-                    (math.log(abs(z)), math.log(abs(w))),
-                    smin,
-                    val / max(scale, 1e-300),
-                    U,
-                    V,
-                )
-            )
-            if len(out) >= n_samples:
-                break
-    return out
-
-
 # -- output writers -----------------------------------------------------------------
 
 
@@ -649,10 +585,9 @@ def write_amoeba_svg(
     path,
     cloud: AmoebaCloud,
     divisor_points: Sequence[DivisorPoint] = (),
-    size: int = 600,
 ) -> None:
     """Hand-rolled scatter plot; divisor points are marked with crosses."""
-    r = cloud.radius
+    r, size = cloud.radius, SVG_SIZE
 
     def sx(x: float) -> float:
         return (x + r) / (2 * r) * size

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import SIZE_BOUND, NotAMatching, check_size
+from .errors import SIZE_BOUND, NetworkSpectraError, check_size
 from .forests import DualPair, enumerate_dual_pairs, extremal_table
 from .graph_core import SuperposedGraph, TorusGraph, Vec, vadd, vsub
 from .laurent import NewtonPolygon
@@ -83,10 +83,10 @@ def _check_matching(sup: SuperposedGraph, cover: DimerCover) -> None:
         e = g.edges[ge]
         for v in (e.tail, e.head):
             if v in covered:
-                raise NotAMatching(f"vertex {v} covered twice")
+                raise NetworkSpectraError(f"vertex {v} covered twice")
             covered[v] = ge
     if len(covered) != g.n_vertices:
-        raise NotAMatching("not every vertex is covered")
+        raise NetworkSpectraError("not every vertex is covered")
 
 
 def dimer_homology(sup: SuperposedGraph, m: DimerCover, m0: DimerCover) -> Vec:

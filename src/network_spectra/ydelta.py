@@ -15,16 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import (
-    BadDegree,
-    InputError,
-    IsomorphismMismatch,
-    LoopAtVertex,
-    NotATriangle,
-    PathDependence,
-    SingularDenominator,
-)
-from .graph_core import Edge, TorusGraph, Vec, read_json, vadd, vneg, vsub
+from .errors import InputError, NetworkSpectraError, SingularDenominator
+from .graph_core import Edge, TorusGraph, Vec, find_isomorphism, is_isomorphism, read_json, vadd, vneg, vsub
 from .laplacian import build_laplacian, charpoly
 from .laurent import LaurentPoly2
 from .zigzag import LEFT, RIGHT, StrandSystem, zigzag_polygon
@@ -52,11 +44,13 @@ def _renumber_after_vertex_removal(v: int, n: int) -> dict[int, int]:
 
 def y_to_delta(graph: TorusGraph, conductances: Mapping[int, Fraction], v: int):
     """Replace the degree-3 star at v by a triangle; returns (graph, c, info)."""
+    if not 0 <= v < graph.n_vertices:
+        raise InputError(f"vertex {v} is out of range 0..{graph.n_vertices - 1}")
     legs = graph.rotation.get(v, ())
     if len(legs) != 3:
-        raise BadDegree(f"vertex {v} has degree {len(legs)}, need 3")
+        raise NetworkSpectraError(f"vertex {v} has degree {len(legs)}, need 3")
     if any(graph.head_of(d) == v for d in legs):
-        raise LoopAtVertex(f"vertex {v} carries a loop")
+        raise NetworkSpectraError(f"vertex {v} carries a loop")
     leg_edges = [graph.edge_of(d) for d in legs]
     leg_c = [Fraction(conductances[e]) for e in leg_edges]
     sigma = sum(leg_c)
@@ -106,12 +100,14 @@ def y_to_delta(graph: TorusGraph, conductances: Mapping[int, Fraction], v: int):
 
 def delta_to_y(graph: TorusGraph, conductances: Mapping[int, Fraction], face: int):
     """Insert a star vertex into a triangular face; returns (graph, c, info)."""
+    if not 0 <= face < graph.n_faces:
+        raise InputError(f"face {face} is out of range 0..{graph.n_faces - 1}")
     orbit = graph.faces[face]
     if len(orbit) != 3:
-        raise NotATriangle(f"face {face} has {len(orbit)} sides")
+        raise NetworkSpectraError(f"face {face} has {len(orbit)} sides")
     tri_edges = [graph.edge_of(d) for d in orbit]
     if len(set(tri_edges)) != 3:
-        raise NotATriangle(f"face {face} repeats an edge")
+        raise NetworkSpectraError(f"face {face} repeats an edge")
     corners = [graph.tail_of(d) for d in orbit]
     A = [Fraction(conductances[e]) for e in tri_edges]
     S = A[0] * A[1] + A[1] * A[2] + A[2] * A[0]
@@ -194,18 +190,15 @@ def invariance_check(
     """
     p1 = charpoly(build_laplacian(graph, conductances))
     if op == "y2d":
-        legs = graph.rotation[target]
-        sigma = sum(Fraction(conductances[graph.edge_of(d)]) for d in legs)
-        g2, c2, _ = y_to_delta(graph, conductances, target)
+        g2, c2, info = y_to_delta(graph, conductances, target)
+        factor = info.denominator
         p2 = charpoly(build_laplacian(g2, c2))
-        exact = p1 == LaurentPoly2.constant(sigma) * p2
-        factor = sigma
+        exact = p1 == LaurentPoly2.constant(factor) * p2
     elif op == "d2y":
         g2, c2, info = delta_to_y(graph, conductances, target)
-        sigma = sum(c2[e] for e in info.new_edges)
+        factor = sum(c2[e] for e in info.new_edges)
         p2 = charpoly(build_laplacian(g2, c2))
-        exact = p2 == LaurentPoly2.constant(sigma) * p1
-        factor = sigma
+        exact = p2 == LaurentPoly2.constant(factor) * p1
     else:
         raise ValueError(f"unknown move {op!r}")
     polygon_equal = zigzag_polygon(graph) == zigzag_polygon(g2)
@@ -230,6 +223,7 @@ class MoveProgram:
     moves: list[Move]
     iso_vertices: dict[int, int]   # final-graph vertex -> initial-graph vertex
     iso_edges: dict[int, int]      # final-graph edge -> initial-graph edge
+    steps: int = 10                # how often ``evolve`` runs it unless told otherwise
 
     def to_json(self) -> dict:
         return {
@@ -238,6 +232,7 @@ class MoveProgram:
                 "vertices": {str(k): v for k, v in sorted(self.iso_vertices.items())},
                 "edges": {str(k): v for k, v in sorted(self.iso_edges.items())},
             },
+            "steps": self.steps,
         }
 
     @classmethod
@@ -255,6 +250,7 @@ class MoveProgram:
                 moves,
                 {int(k): int(v) for k, v in data["iso"]["vertices"].items()},
                 {int(k): int(v) for k, v in data["iso"]["edges"].items()},
+                int(data.get("steps", cls.steps)),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed move program: {type(exc).__name__}: {exc}") from None
@@ -270,87 +266,6 @@ def apply_move(graph: TorusGraph, conductances, move: Move):
     if move.op == "d2y":
         return delta_to_y(graph, conductances, move.target)
     raise ValueError(f"unknown move op {move.op!r}")
-
-
-def _validate_closing_iso(initial: TorusGraph, final: TorusGraph, program: MoveProgram):
-    """Check the program's relabeling is a torus-graph isomorphism.
-
-    Incidence, rotation (same cyclic order) and displacements up to a deck
-    coboundary must all be preserved; otherwise IsomorphismMismatch.
-    """
-    vmap, emap = program.iso_vertices, program.iso_edges
-    if sorted(vmap) != list(range(final.n_vertices)) or sorted(
-        vmap.values()
-    ) != list(range(initial.n_vertices)):
-        raise IsomorphismMismatch("vertex map is not a bijection")
-    if sorted(emap) != list(range(final.n_edges)) or sorted(emap.values()) != list(
-        range(initial.n_edges)
-    ):
-        raise IsomorphismMismatch("edge map is not a bijection")
-    flips: dict[int, bool] = {}
-    for e in final.edges:
-        img = initial.edges[emap[e.id]]
-        if (vmap[e.tail], vmap[e.head]) == (img.tail, img.head):
-            flips[e.id] = False
-        elif (vmap[e.head], vmap[e.tail]) == (img.tail, img.head):
-            flips[e.id] = True
-        else:
-            raise IsomorphismMismatch(f"edge {e.id} incidence not preserved")
-        if img.tail == img.head:
-            # loops: decide the flip by displacement signs below
-            flips[e.id] = None
-
-    def dart_image(d: int) -> int:
-        e = final.edge_of(d)
-        img = 2 * emap[e]
-        flip = flips[e]
-        if flip is None:
-            flip = False
-        return img + ((d & 1) ^ (1 if flip else 0))
-
-    # resolve loop flips via a displacement coboundary: solve shift greedily
-    shift: dict[int, Vec] = {0: (0, 0)}
-    order = [0]
-    seen = {0}
-    while order:
-        v = order.pop()
-        for d in final.rotation.get(v, ()):
-            u = final.head_of(d)
-            e = final.edge_of(d)
-            if flips[e] is None:
-                continue
-            img_disp = initial.disp(dart_image(d))
-            req = vadd(shift[v], vsub(img_disp, final.disp(d)))
-            if u in seen:
-                if shift[u] != req:
-                    raise IsomorphismMismatch(f"displacement defect at dart {d} is not a coboundary")
-            else:
-                shift[u] = req
-                seen.add(u)
-                order.append(u)
-    if len(seen) != final.n_vertices:
-        raise IsomorphismMismatch("non-loop edges do not connect the graph; cannot resolve shifts")
-    for e in final.edges:
-        if flips[e.id] is not None:
-            continue
-        img = initial.edges[emap[e.id]]
-        want = final.edges[e.id].disp  # loops: coboundary cancels
-        if img.disp == want:
-            flips[e.id] = False
-        elif img.disp == vneg(want):
-            flips[e.id] = True
-        else:
-            raise IsomorphismMismatch(f"loop {e.id} displacement {img.disp} != +-{want}")
-    # rotation preservation (same cyclic order)
-    for v, slots in final.rotation.items():
-        img_slots = [dart_image(d) for d in slots]
-        target = list(initial.rotation[program.iso_vertices[v]])
-        if len(img_slots) != len(target):
-            raise IsomorphismMismatch(f"degree mismatch at vertex {v}")
-        k = len(target)
-        if not any(img_slots == target[s:] + target[:s] for s in range(k)):
-            raise IsomorphismMismatch(f"rotation at vertex {v} not preserved")
-    return flips
 
 
 @dataclass
@@ -407,14 +322,12 @@ def run_program(
     steps: int,
 ) -> TrajectoryReport:
     """Iterate the program, recording conductances and the conserved vector."""
-    # precompute the structural graph sequence once; it repeats every step
-    seq_graphs = [graph]
     c = {k: Fraction(v) for k, v in conductances.items()}
     g = graph
     for move in program.moves:
         g, c, _ = apply_move(g, c, move)
-        seq_graphs.append(g)
-    _validate_closing_iso(graph, seq_graphs[-1], program)
+    if not is_isomorphism(g, graph, program.iso_vertices, program.iso_edges):
+        raise NetworkSpectraError("the program's relabeling is not an isomorphism onto the initial graph")
 
     classes0 = sorted(s.homology for s in StrandSystem(graph).strands)
     c = {k: Fraction(v) for k, v in conductances.items()}
@@ -455,7 +368,7 @@ def cube_recurrence_program(graph: TorusGraph) -> MoveProgram:
     tri_faces = [f for f in range(graph.n_faces) if len(graph.faces[f]) == 3]
     cover = _edge_disjoint_face_cover(graph, tri_faces)
     if cover is None:
-        raise NotATriangle("no edge-disjoint triangle cover exists")
+        raise NetworkSpectraError("no edge-disjoint triangle cover exists")
     moves: list[Move] = []
     g = graph
     c = {e.id: Fraction(1) for e in graph.edges}
@@ -482,11 +395,9 @@ def cube_recurrence_program(graph: TorusGraph) -> MoveProgram:
             for o, v in vertex_track.items()
             if v in info.vertex_map
         }
-    from .graph_core import find_isomorphism
-
     res = find_isomorphism(g, graph)
     if res is None:
-        raise IsomorphismMismatch("the recurrence step did not return to the graph")
+        raise NetworkSpectraError("the recurrence step did not return to the graph")
     vmap, dart_map, _shift = res
     emap = {e.id: graph.edge_of(dart_map[2 * e.id]) for e in g.edges}
     return MoveProgram(moves, vmap, emap)
@@ -515,7 +426,7 @@ def _find_face(graph: TorusGraph, key: frozenset[int]):
     for f in range(graph.n_faces):
         if len(graph.faces[f]) == 3 and _face_key(graph, f) == key:
             return f
-    raise NotATriangle(f"face with edges {sorted(key)} not found")
+    raise NetworkSpectraError(f"face with edges {sorted(key)} not found")
 
 
 # -- discrete Abel map -----------------------------------------------------------
@@ -604,10 +515,13 @@ def discrete_abel(
     Moves along edges (vertex to vertex) and across corners (vertex to face),
     counting signed strand crossings: a strand crossing the transported path
     from its right to its left counts +1.  Every adjacency inside the window
-    is re-checked after the sweep; a mismatch raises PathDependence.
+    is re-checked after the sweep; a mismatch raises NetworkSpectraError.
     """
     if isinstance(base, int):
         base = ("vertex", base)
+    count = {"vertex": graph.n_vertices, "face": graph.n_faces}.get(base[0], 0)
+    if not 0 <= base[1] < count:
+        raise InputError(f"{base[0]} {base[1]} is out of range 0..{count - 1}")
     sys = StrandSystem(graph)
     n_str = len(sys.strands)
     (tx0, tx1), (ty0, ty1) = window
@@ -654,7 +568,7 @@ def discrete_abel(
             key = (k2, o2, t2)
             if key in entries:
                 if entries[key] != new_val:
-                    raise PathDependence(
+                    raise NetworkSpectraError(
                         f"transport to {key} is path dependent: {entries[key]} vs {new_val}"
                     )
             else:
@@ -667,7 +581,7 @@ def discrete_abel(
             if key in entries:
                 want = tuple(v + inc.get(s, 0) for s, v in enumerate(val))
                 if entries[key] != want:
-                    raise PathDependence(f"closed-loop defect at {key}")
+                    raise NetworkSpectraError(f"closed-loop defect at {key}")
     return AbelChart(
         graph,
         base,

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AmbiguousCone, FanAmbiguity, NonClosingBoundary
-from .graph_core import TorusGraph, Vec, vadd, vneg
+from .errors import NetworkSpectraError
+from .graph_core import TorusGraph, Vec, vadd
 from .laurent import NewtonPolygon
 
 RIGHT = "R"
@@ -90,9 +90,6 @@ class StrandSystem:
     def unoriented_of(self, sid: int) -> int:
         """Canonical representative of {strand, reversal}."""
         return min(sid, self.reversal_of(sid))
-
-    def classes(self) -> list[Vec]:
-        return [s.homology for s in self.strands]
 
 
 def trace_strands(graph: TorusGraph) -> list[ZigZagStrand]:
@@ -212,12 +209,12 @@ def zigzag_polygon(graph: TorusGraph) -> NewtonPolygon:
     """
     classes = [s.homology for s in StrandSystem(graph).strands]
     if any(h == (0, 0) for h in classes):
-        raise NonClosingBoundary("a strand has trivial homology class")
+        raise NetworkSpectraError("a strand has trivial homology class")
     total = (0, 0)
     for h in classes:
         total = vadd(total, h)
     if total != (0, 0):
-        raise NonClosingBoundary(f"strand classes sum to {total}, not (0, 0)")
+        raise NetworkSpectraError(f"strand classes sum to {total}, not (0, 0)")
     ordered = sort_ccw(classes)
     pts = [(0, 0)]
     for h in ordered:
@@ -227,11 +224,11 @@ def zigzag_polygon(graph: TorusGraph) -> NewtonPolygon:
     ys = [p[1] for p in pts]
     cx, cy = min(xs) + max(xs), min(ys) + max(ys)
     if cx % 2 or cy % 2:
-        raise NonClosingBoundary("boundary polygon has no lattice center of symmetry")
+        raise NetworkSpectraError("boundary polygon has no lattice center of symmetry")
     shifted = [(x - cx // 2, y - cy // 2) for x, y in pts]
     poly = NewtonPolygon.from_points(shifted)
     if not poly.is_centrally_symmetric():
-        raise NonClosingBoundary("assembled polygon is not centrally symmetric")
+        raise NetworkSpectraError("assembled polygon is not centrally symmetric")
     return poly
 
 
@@ -262,7 +259,7 @@ class LocalFan:
                 continue  # zero-width cone between equal rays
             if _between_ccw(lo, hi, direction):
                 return self.cone_darts[k]
-        raise AmbiguousCone(
+        raise NetworkSpectraError(
             f"direction {direction} lies on a ray of the local fan at vertex {self.vertex}"
         )
 
@@ -280,7 +277,6 @@ class ZigZagFans:
     """Global fan rays plus the forward and reverse local fan at each vertex."""
 
     global_rays: tuple[Vec, ...]
-    ray_multiplicity: dict[Vec, int]
     local: dict[int, LocalFan]
     local_reverse: dict[int, LocalFan]
 
@@ -302,16 +298,16 @@ class ZigZagFans:
 def fans(graph: TorusGraph) -> ZigZagFans:
     """Build the global fan and both local fans of a minimal network."""
     sys = StrandSystem(graph)
-    mult: dict[Vec, int] = {}
+    classes: set[Vec] = set()
     for s in sys.strands:
         h = s.homology
         g = math.gcd(abs(h[0]), abs(h[1]))
         if g == 0:
-            raise FanAmbiguity("trivial strand class")
+            raise NetworkSpectraError("trivial strand class")
         if g != 1:
-            raise FanAmbiguity(f"non-primitive strand class {h} (network not minimal)")
-        mult[h] = mult.get(h, 0) + 1
-    global_rays = tuple(sort_ccw(mult.keys()))
+            raise NetworkSpectraError(f"non-primitive strand class {h} (network not minimal)")
+        classes.add(h)
+    global_rays = tuple(sort_ccw(classes))
 
     local: dict[int, LocalFan] = {}
     local_rev: dict[int, LocalFan] = {}
@@ -324,9 +320,9 @@ def fans(graph: TorusGraph) -> ZigZagFans:
             fwd_rays.append(sys.strands[sys.strand_of(graph.alpha(nxt), RIGHT)].homology)
             rev_rays.append(sys.strands[sys.strand_of(graph.alpha(slots[i]), LEFT)].homology)
         if not is_ccw_cyclic(fwd_rays):
-            raise FanAmbiguity(f"local rays at vertex {v} are not in ccw order")
+            raise NetworkSpectraError(f"local rays at vertex {v} are not in ccw order")
         local[v] = LocalFan(v, tuple(fwd_rays), tuple(slots))
         local_rev[v] = LocalFan(
             v, tuple(rev_rays), tuple(graph.alpha(d) for d in slots)
         )
-    return ZigZagFans(global_rays, mult, local, local_rev)
+    return ZigZagFans(global_rays, local, local_rev)

@@ -1,4 +1,6 @@
 import random
+import types
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,16 @@ def rng():
 @pytest.fixture(params=ALL_FIXTURES)
 def any_network(request):
     return fixtures.build(request.param)
+
+
+@pytest.fixture(scope="session")
+def lattice():
+    """perfbench's m x n lattice generator, executed from its file (it imports only
+    graph_core), so the benchmark directory is read and never imported or written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
+    mod = types.ModuleType("perfbench_lattice")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod.lattice
 
 
 def pytest_configure(config):

@@ -173,12 +173,46 @@ def _malformed(tmp_path, case):
         prog.write_text(json.dumps({"moves": [{"op": "flip", "vertex": 0}],
                                     "iso": {"vertices": {}, "edges": {}}}))
         return ["evolve", "tri2", "--program", str(prog)]
+    elif case == "bad-steps":
+        prog = tmp_path / "prog.json"
+        prog.write_text(json.dumps({**_program(), "steps": "x"}))
+        return ["evolve", "tri2", "--program", str(prog)]
     return ["charpoly", str(net)]
 
 
-@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op"])
+def _program() -> dict:
+    return json.loads(fixture_path("tri2_cube_program").read_text())
+
+
+@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op", "bad-steps"])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert run(tmp_path, *_malformed(tmp_path, case)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evolve_steps_from_program(tmp_path):
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps({**_program(), "steps": 2}))
+    assert run(tmp_path, "evolve", "tri2", "--program", str(prog)) == 0
+    assert len(json.loads((tmp_path / "evolve_tri2.json").read_text())["steps"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divisor", "tri2", "--v0", "5"],
+        ["divisor", "tri2", "--v0", "-1"],
+        ["amoeba", "tri2", "--v0", "5", "--grid", "12"],
+        ["abel", "tri2", "--base", "7"],
+        ["abel", "tri2", "--base", "-1"],
+        ["ydelta", "tri2", "--y2d", "9"],
+        ["ydelta", "tri2", "--d2y", "99"],
+        ["ydelta", "tri2", "--d2y", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_id_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

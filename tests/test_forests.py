@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from network_spectra.errors import NotAPolygonVertex, StrandNotOnEdgeFamily, TooLarge
+from network_spectra.errors import NetworkSpectraError, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.forests import (
     boundary_point_counts,
@@ -136,9 +136,9 @@ def test_extremal_hex1():
 
 def test_extremal_rejects_non_vertex():
     g, _ = build("tri2")
-    with pytest.raises(NotAPolygonVertex):
+    with pytest.raises(NetworkSpectraError, match=r"^\(5, 5\) is not a vertex of "):
         extremal_ocrsf(g, (5, 5))
-    with pytest.raises(NotAPolygonVertex):
+    with pytest.raises(NetworkSpectraError, match=r"^\(1, 1\) is not a vertex of "):
         extremal_ocrsf(g, (1, 1))  # boundary point but not a vertex
 
 
@@ -176,7 +176,7 @@ def test_external_rejects_wrong_strand():
     fams = polygon_edge_families(g)
     fam = fams[0]
     other = next(f for f in fams if f["primitive"] != fam["primitive"])
-    with pytest.raises(StrandNotOnEdgeFamily):
+    with pytest.raises(NetworkSpectraError, match=r" not within the family "):
         external_ocrsf(g, (fam["v1"], fam["v2"]), other["strands"][:1])
 
 

@@ -1,14 +1,12 @@
 import logging
 import random
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from network_spectra.errors import SingleVertexGraph, TooLarge
+from network_spectra.errors import NetworkSpectraError, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import (
@@ -144,7 +142,7 @@ def test_minor_polygon_contained_tri2():
 
 def test_single_vertex_minor_raises():
     g, c = build("sq1")
-    with pytest.raises(SingleVertexGraph):
+    with pytest.raises(NetworkSpectraError, match=r"^the principal minor needs at least two vertices$"):
         principal_minor(build_laplacian(g, c), 0)
 
 
@@ -162,15 +160,6 @@ def test_polygon_matches_zigzag(any_network, rng):
 
 
 # -- the two determinant engines ----------------------------------------------------
-
-def _lattice(kind, m, n):
-    """perfbench's m x n lattice generator, executed from its file (it imports only
-    graph_core), so the benchmark directory is read and never imported or written."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
-    mod = types.ModuleType("perfbench_lattice")
-    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
-    return mod.lattice(kind, m, n)
-
 
 def _minor_rows(L, v0=0):
     keep = [v for v in range(L.size) if v != v0]
@@ -201,8 +190,8 @@ def test_grid_engine_matches_dp(rows):
 
 
 @pytest.mark.parametrize("kind,m,n", [("sq", 3, 3), ("tri", 3, 3), ("sq", 4, 3)])
-def test_grid_engine_matches_dp_on_lattices(kind, m, n):
-    g = _lattice(kind, m, n)
+def test_grid_engine_matches_dp_on_lattices(lattice, kind, m, n):
+    g = lattice(kind, m, n)
     L = build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=False))
     assert L.size > 8  # charpoly takes the grid engine
     assert charpoly(L) == _det_dp(L.entries)
@@ -227,8 +216,8 @@ def _fraction_det(m):
 
 
 @pytest.mark.parametrize("m", [4, 6])
-def test_grid_engine_large_lattices(m):
-    g = _lattice("sq", m, m)
+def test_grid_engine_large_lattices(lattice, m):
+    g = lattice("sq", m, m)
     L = build_laplacian(g, random_rational_conductances(g, random.Random(m)))
     p = charpoly(L, max_vertices=L.size)
     for z, w in [(Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5, 3)), (Fraction(3, 7), Fraction(-2))]:
@@ -238,8 +227,8 @@ def test_grid_engine_large_lattices(m):
     assert node_check(p).is_node
 
 
-def test_det_logs_engine(caplog):
-    g = _lattice("sq", 3, 3)
+def test_det_logs_engine(caplog, lattice):
+    g = lattice("sq", 3, 3)
     L = build_laplacian(g, random_rational_conductances(g, random.Random(1)))
     with caplog.at_level(logging.DEBUG, logger="network_spectra.laplacian"):
         charpoly(L)

@@ -1,24 +1,19 @@
+import cmath
 import logging
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from network_spectra.errors import (
-    CorankTwo,
-    DegenerateFiber,
-    NonHarnackInput,
-    SingleVertexGraph,
-    WrongDivisorCount,
-)
+from network_spectra.errors import CorankTwo, DegenerateFiber, NetworkSpectraError
 from network_spectra.fixtures import build, tri2_generic
 from network_spectra import spectral
 from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
     amoeba,
-    curve_samples,
     fiber_roots,
     fiber_roots_in_z,
     infinity_coordinates,
@@ -241,14 +236,17 @@ def test_adjugate_rank_one_on_samples():
     g, c = build("hex1")
     L = build_laplacian(g, c)
     p = charpoly(L)
-    for s in curve_samples(p, L, n_samples=12, seed=3):
-        m = np.array(
-            [[complex(L.entries[i][j].eval(s.z, s.w)) for j in range(2)] for i in range(2)]
-        )
-        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        sv = np.linalg.svd(adj, compute_uv=False)
-        assert s.residual <= 1e-9
-        assert sv[0] >= 1e3 * sv[1]
+    rng = random.Random(3)
+    for _ in range(6):  # two roots per fiber: 12 samples
+        z = cmath.exp(rng.uniform(-1, 1) + 1j * rng.uniform(0, 2 * math.pi))
+        for w in fiber_roots(p, z):
+            m = np.array(
+                [[complex(L.entries[i][j].eval(z, w)) for j in range(2)] for i in range(2)]
+            )
+            adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+            sv = np.linalg.svd(adj, compute_uv=False)
+            assert abs(p.eval(z, w)) <= 1e-9 * p.scale_at(z, w)
+            assert sv[0] >= 1e3 * sv[1]
 
 
 def test_divisor_tri2():
@@ -292,23 +290,33 @@ def test_divisor_skips_corank_two_samples(monkeypatch):
     assert res.corank2_skipped > 0
 
 
+def test_divisor_survives_degenerate_fiber_in_bisection(monkeypatch):
+    def degenerate(*args):
+        raise DegenerateFiber("injected")
+
+    monkeypatch.setattr(spectral, "_track_root", degenerate)
+    g, c = tri2_generic()
+    res = spectral_divisor(g, c, v0=0)  # each bisection keeps its bracket start
+    assert res.genus == res.hole_count == 2
+
+
 def test_divisor_needs_two_vertices():
     g, c = build("sq1")
-    with pytest.raises(SingleVertexGraph):
+    with pytest.raises(NetworkSpectraError, match=r"^the kernel section needs at least two vertices$"):
         spectral_divisor(g, c)
 
 
 def test_divisor_needs_positive_conductances():
     g, _ = build("tri2")
     c = {e.id: Fraction(-1) for e in g.edges}
-    with pytest.raises(NonHarnackInput):
+    with pytest.raises(NetworkSpectraError, match=r"^positive real conductances required$"):
         spectral_divisor(g, c)
 
 
 def test_divisor_wrong_count_at_degenerate_point():
     # unit conductances sit at the degenerate point with contracted ovals
     g, c = build("tri2")
-    with pytest.raises(WrongDivisorCount):
+    with pytest.raises(NetworkSpectraError, match=r"^found \d+ divisor points, expected g = 2; ovals = \d+$"):
         spectral_divisor(g, c, check_count=True)
 
 

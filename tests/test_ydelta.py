@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from network_spectra.errors import (
-    BadDegree,
-    IsomorphismMismatch,
-    LoopAtVertex,
-    NotATriangle,
-    SingularDenominator,
-)
+from network_spectra.errors import NetworkSpectraError, SingularDenominator
 from network_spectra.fixtures import build, fixture_path
-from network_spectra.graph_core import Edge, TorusGraph, isomorphic, random_rational_conductances
+from network_spectra.graph_core import (
+    Edge,
+    TorusGraph,
+    _try_extend,
+    is_isomorphism,
+    isomorphic,
+    random_rational_conductances,
+    unit_conductances,
+)
 from network_spectra.laplacian import build_laplacian, charpoly
 from network_spectra.ydelta import (
     Move,
     MoveProgram,
+    apply_move,
     cube_recurrence_program,
     delta_to_y,
     discrete_abel,
@@ -78,7 +81,7 @@ def test_hex1_y2d_structure():
 
 def test_y2d_bad_degree():
     g, c = build("tri2")
-    with pytest.raises(BadDegree):
+    with pytest.raises(NetworkSpectraError, match=r"^vertex 0 has degree 6, need 3$"):
         y_to_delta(g, c, 0)
 
 
@@ -91,7 +94,7 @@ def test_y2d_loop_at_vertex():
     ]
     g = TorusGraph(2, edges, {0: (0, 1, 2), 1: (3, 4, 5)}, check=False)
     c = {e.id: Fraction(1) for e in edges}
-    with pytest.raises(LoopAtVertex):
+    with pytest.raises(NetworkSpectraError, match=r"^vertex 0 carries a loop$"):
         y_to_delta(g, c, 0)
 
 
@@ -104,7 +107,7 @@ def test_y2d_singular_denominator():
 
 def test_d2y_not_a_triangle():
     g, c = build("sq2")  # square faces
-    with pytest.raises(NotATriangle):
+    with pytest.raises(NetworkSpectraError, match=r"^face 0 has 4 sides$"):
         delta_to_y(g, c, 0)
 
 
@@ -201,8 +204,40 @@ def test_bad_iso_rejected():
     g, c = build("hex1")
     prog = MoveProgram([], {0: 0, 1: 1}, {0: 1, 1: 0, 2: 2})  # swaps parallel edges
     # swapping edges 0 and 1 changes displacements by a non-coboundary
-    with pytest.raises(IsomorphismMismatch):
+    with pytest.raises(NetworkSpectraError, match=r"^the program's relabeling is not an isomorphism onto the initial graph$"):
         run_program(g, c, prog, 1)
+
+
+def _cube_program(lattice, size):
+    """The bundled tri2 program, or the generated one on the tri m x n lattice."""
+    if size is None:
+        return build("tri2")[0], MoveProgram.load(fixture_path("tri2_cube_program"))
+    g = lattice("tri", *size)
+    return g, cube_recurrence_program(g)
+
+
+@pytest.mark.parametrize("size", [None, (2, 2), (3, 2), (3, 3)], ids=["tri2", "tri2x2", "tri3x2", "tri3x3"])
+def test_closing_relabeling_check(lattice, size):
+    g, prog = _cube_program(lattice, size)
+    final, c = g, unit_conductances(g)
+    for move in prog.moves:
+        final, c, _ = apply_move(final, c, move)
+    vm, em = prog.iso_vertices, prog.iso_edges
+    assert is_isomorphism(final, g, vm, em)
+    # composed with any automorphism of g (the deck translations) it is still one
+    autos = [r for w0 in range(g.n_vertices) for k in range(g.degree(0))
+             if (r := _try_extend(g, g, 0, w0, k, False)) is not None]
+    assert len(autos) == g.n_vertices
+    for av, ad, _ in autos:
+        assert is_isomorphism(final, g, {v: av[w] for v, w in vm.items()},
+                              {e: g.edge_of(ad[2 * x]) for e, x in em.items()})
+    # no automorphism moves exactly two edges, so swapping two edge images breaks it
+    for a in em:
+        for b in range(a):
+            assert not is_isomorphism(final, g, vm, {**em, a: em[b], b: em[a]})
+    a, b = g.n_vertices - 2, g.n_vertices - 1  # leaves vertex 0's image alone when V >= 3
+    assert not is_isomorphism(final, g, {**vm, a: vm[b], b: vm[a]}, em)
+    assert not is_isomorphism(final, g, {}, em)
 
 
 def test_singular_step_reported():

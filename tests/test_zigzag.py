@@ -1,6 +1,5 @@
 import pytest
 
-from network_spectra.errors import NotAPolygonVertex
 from network_spectra.fixtures import build
 from network_spectra.graph_core import Edge, TorusGraph
 from network_spectra.laurent import NewtonPolygon
