@@ -5,8 +5,8 @@ such as ``sq1``), runs its checks, writes a JSON report into the output
 directory, and exits 0 only if all asserted checks passed.  Exit codes:
 0 success, 1 failed checks, 2 usage errors, malformed network or
 move-program files (invalid JSON, missing keys, zero conductances, unknown
-move ops, a ``steps`` that is not an integer) and out-of-range vertex or face
-ids, 3 I/O errors.
+move ops, a step count that is negative or not an integer) and out-of-range
+vertex or face ids, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -208,6 +208,8 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     from . import spectral
 
     graph, c, stem = _load_network(args.input)
+    if not 0 <= args.v0 < graph.n_vertices:
+        raise InputError(f"vertex {args.v0} is out of range 0..{graph.n_vertices - 1}")
     p = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
     cloud = spectral.amoeba(p, grid=args.grid, radius=args.radius)
     outdir = Path(args.out)
@@ -219,8 +221,6 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     if graph.n_vertices >= 2 and all(float(x) > 0 for x in c.values()):
         try:
             divisor = spectral.spectral_divisor(graph, c, v0=args.v0)
-        except InputError:
-            raise
         except NetworkSpectraError as exc:
             divisor_error = f"{type(exc).__name__}: {exc}"
     # the divisor already swept the ovals (the amoeba holes); sweep only without it

@@ -3,8 +3,8 @@
 Each dart u -> v with displacement (d1, d2) and conductance c adds c to the
 diagonal entry of u and subtracts c * z^d1 w^d2 from the (u, v) entry; a loop
 therefore contributes 2c and -c (chi^d + chi^-d) to its vertex's cell.  The
-determinant is exact: a subset DP for n <= 8 and, above, interpolation of its
-values on an integer grid sized by the rows' degrees (``_det``, ``_det_grid``).
+determinant is exact: a subset DP for n <= 8 or, above, interpolation on an
+integer grid, both over integer rows, and one division at the end (``_det``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SIZE_BOUND, InputError, NetworkSpectraError, check_size
 from .graph_core import TorusGraph
-from .laurent import LaurentPoly2
+from .laurent import Exponent, LaurentPoly2
 
 log = logging.getLogger(__name__)
 
@@ -71,65 +71,67 @@ def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> 
 
 
 def _det(rows: Sequence[Sequence[LaurentPoly2]]) -> LaurentPoly2:
-    """Exact determinant: the subset DP for n <= 8, ``_det_grid`` above.  On a 2-core
-    x86 host the DP's 2^n table lost above 8 (tri4x3, n = 12: 0.93 s, grid 0.015 s)
-    but won on the thousand-bit coefficients of Y-Delta evolutions (n <= 6): tri2x2
-    at 2193 bits 66 ms against 95 ms on the grid, tri3x2 at 1298 bits 200 vs 358."""
-    return (_det_dp if len(rows) <= 8 else _det_grid)(rows)
+    """Exact determinant, divided once: ``integer_det``'s D over its scale."""
+    d, scale = integer_det(rows)
+    return LaurentPoly2({k: Fraction(c, scale) for k, c in d.items()})
 
 
-def _det_dp(rows: Sequence[Sequence[LaurentPoly2]]) -> LaurentPoly2:
-    """Exact determinant by column-subset dynamic programming.
+def integer_det(rows: Sequence[Sequence[LaurentPoly2]]) -> tuple[dict[Exponent, int], int]:
+    """det M as (D, s), integers D_ij != 0 and s > 0: det M = sum of D_ij z^i w^j / s.
 
-    O(2^n * n) ring operations; avoids exact division entirely.
-    """
-    n = len(rows)
-    log.debug("det: subset DP, V=%d", n)
-    if n == 0:
-        return LaurentPoly2.one()
-    minors = {0: LaurentPoly2.one()}
-    for mask in range(1, 1 << n):
-        k = mask.bit_count() - 1  # row index to expand along
-        acc = LaurentPoly2.zero()
-        sign = -1 if k & 1 else 1  # (-1)^(k + column position)
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            entry = rows[k][j]
-            if entry:
-                term = entry * minors[mask ^ (1 << j)]
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-            m &= m - 1
-        minors[mask] = acc
-    return minors[(1 << n) - 1]
-
-
-def _det_grid(rows: Sequence[Sequence[LaurentPoly2]]) -> LaurentPoly2:
-    """Exact determinant by integer evaluation and Newton interpolation: row u
-    times d_u / (z^a_u w^b_u) (its denominators' lcm, least exponents) is an
-    integer polynomial row, so det M has z-degree <= Dz, the sum of the rows'
-    z-ranges (w likewise), and its (Dz+1) x (Dw+1) integer grid values fix it."""
-    n, ints, za, wb, scale, dz, dw = len(rows), [], 0, 0, 1, 0, 0
+    Row u times s_u / (z^a_u w^b_u), s_u the lcm of its denominators and a_u,
+    b_u its least exponents, is an integer polynomial row with exponents >= 0,
+    and s is the product of the s_u.  The subset DP takes the determinant of
+    these rows for n <= 8, ``_det_grid`` above.  On a 2-core x86 host, with
+    small signed conductances on lattices, the DP took 2-7 ms at n = 9 against
+    3-5 ms on the grid, 37-62 ms at n = 12 against 12-13; with 1300-bit ones it
+    won at every n (n = 9: 0.65-3.2 s against 6.5-16 s)."""
+    ints, za, wb, scale = [], 0, 0, 1
     for row in rows:
-        t = [(v, i, j, c) for v, e in enumerate(row) for (i, j), c in e.terms()]
-        iz, jw = [x[1] for x in t] or [0], [x[2] for x in t] or [0]
-        d = math.lcm(*(x[3].denominator for x in t))
-        ints.append([(v, i - min(iz), j - min(jw), c.numerator * (d // c.denominator)) for v, i, j, c in t])
-        za, wb, scale = za + min(iz), wb + min(jw), scale * d
-        dz, dw = dz + max(iz) - min(iz), dw + max(jw) - min(jw)
+        t = [term for e in row for term in e.terms()]
+        a, b = min((i for (i, _), _ in t), default=0), min((j for (_, j), _ in t), default=0)
+        d = math.lcm(*(c.denominator for _, c in t))
+        ints.append([{(i - a, j - b): c.numerator * (d // c.denominator) for (i, j), c in e.terms()} for e in row])
+        za, wb, scale = za + a, wb + b, scale * d
+    d = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
+    return {(i + za, j + wb): c for (i, j), c in d.items()}, scale
+
+
+def _det_dp(ints: Sequence[Sequence[dict]]) -> dict[Exponent, int]:
+    """Determinant of integer polynomial rows by column-subset dynamic
+    programming: O(2^n * n) polynomial products, no division and no gcd."""
+    n = len(ints)
+    log.debug("det: subset DP, V=%d", n)
+    minors: list = [{(0, 0): 1}] + [None] * ((1 << n) - 1)
+    for mask in range(1, 1 << n):
+        k, acc = mask.bit_count() - 1, {}  # expand along row k
+        for p, j in enumerate(j for j in range(n) if mask >> j & 1):
+            for (a, b), x in ints[k][j].items():
+                x = -x if (k + p) & 1 else x  # (-1)^(k + column position)
+                for (i, jj), y in minors[mask ^ (1 << j)].items():
+                    acc[a + i, b + jj] = acc.get((a + i, b + jj), 0) + x * y
+        minors[mask] = acc
+    return {k: c for k, c in minors[-1].items() if c}
+
+
+def _det_grid(ints: Sequence[Sequence[dict]]) -> dict[Exponent, int]:
+    """Determinant of integer polynomial rows with exponents >= 0 by evaluation
+    and Newton interpolation: its z-degree is <= Dz, the sum of the rows' largest
+    z exponents (w likewise), and its (Dz+1) x (Dw+1) grid values fix it."""
+    n = len(ints)
+    t = [[(v, i, j, c) for v, e in enumerate(row) for (i, j), c in e.items()] for row in ints]
+    dz, dw = (sum(max((x[k] for x in r), default=0) for r in t) for k in (1, 2))
     log.debug("det: grid, V=%d, grid %dx%d", n, dz + 1, dw + 1)
     zs, ws = range(-(dz // 2), dz - dz // 2 + 1), range(-(dw // 2), dw - dw // 2 + 1)
     by_z = []  # by_z[k][j]: the w^j coefficient of det M(zs[k], w)
     for z in zs:
         ms = [[[0] * n for _ in range(n)] for _ in ws]
         for m, w in zip(ms, ws):
-            for row, t in zip(m, ints):
-                for v, i, j, c in t:
+            for row, r in zip(m, t):
+                for v, i, j, c in r:
                     row[v] += c * z**i * w**j
         by_z.append(_interpolate(ws, [_bareiss(m) for m in ms]))
-    return LaurentPoly2({(i + za, j + wb): Fraction(c, scale)
-                         for j, col in enumerate(zip(*by_z)) for i, c in enumerate(_interpolate(zs, col))})
+    return {(i, j): c for j, col in enumerate(zip(*by_z)) for i, c in enumerate(_interpolate(zs, col)) if c}
 
 
 def _bareiss(m: list[list[int]]) -> int:

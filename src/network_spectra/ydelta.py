@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, NetworkSpectraError, SingularDenominator
 from .graph_core import Edge, TorusGraph, Vec, find_isomorphism, is_isomorphism, read_json, vadd, vneg, vsub
-from .laplacian import build_laplacian, charpoly
+from .laplacian import build_laplacian, charpoly, integer_det
 from .laurent import LaurentPoly2
 from .zigzag import LEFT, RIGHT, StrandSystem, zigzag_polygon
 
@@ -301,18 +301,15 @@ class TrajectoryReport:
 def conserved_vector(graph: TorusGraph, conductances) -> tuple[tuple, Vec]:
     """Charpoly coefficients normalized at an extremal anchor.
 
-    The anchor is the coefficient at the lexicographically maximal polygon
-    vertex, nonzero because the extremal OCRSF there is unique; if it ever
-    vanished we fall back to the next polygon vertex.
+    The anchor is the lexicographically largest exponent of P, a vertex of its
+    Newton polygon.  P = D / s with integer D (``integer_det``), and the row
+    scale s cancels from every ratio D_ij / D_anchor, so P is never formed.
     """
-    p = charpoly(build_laplacian(graph, conductances))
-    poly = p.newton_polygon()
-    anchors = sorted(poly.vertices, reverse=True)
-    anchor = next((a for a in anchors if p.coeff(*a) != 0), None)
-    if anchor is None:
-        raise AssertionError("all polygon-vertex coefficients vanish")
-    a = p.coeff(*anchor)
-    return tuple((ij, v / a) for ij, v in p.terms()), anchor
+    d, _ = integer_det(build_laplacian(graph, conductances).entries)
+    if not d:
+        raise NetworkSpectraError("the zero polynomial has no Newton polygon")
+    anchor = max(d)
+    return tuple((ij, Fraction(d[ij], d[anchor])) for ij in sorted(d)), anchor
 
 
 def run_program(
@@ -322,6 +319,8 @@ def run_program(
     steps: int,
 ) -> TrajectoryReport:
     """Iterate the program, recording conductances and the conserved vector."""
+    if steps < 0:
+        raise InputError(f"the step count {steps} is negative")
     c = {k: Fraction(v) for k, v in conductances.items()}
     g = graph
     for move in program.moves:

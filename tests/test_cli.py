@@ -173,10 +173,12 @@ def _malformed(tmp_path, case):
         prog.write_text(json.dumps({"moves": [{"op": "flip", "vertex": 0}],
                                     "iso": {"vertices": {}, "edges": {}}}))
         return ["evolve", "tri2", "--program", str(prog)]
-    elif case == "bad-steps":
+    elif case in ("bad-steps", "negative-steps"):
         prog = tmp_path / "prog.json"
-        prog.write_text(json.dumps({**_program(), "steps": "x"}))
+        prog.write_text(json.dumps({**_program(), "steps": "x" if case == "bad-steps" else -3}))
         return ["evolve", "tri2", "--program", str(prog)]
+    elif case == "negative-steps-flag":
+        return ["evolve", "tri2", "--program", str(fixture_path("tri2_cube_program")), "--steps", "-2"]
     return ["charpoly", str(net)]
 
 
@@ -184,7 +186,8 @@ def _program() -> dict:
     return json.loads(fixture_path("tri2_cube_program").read_text())
 
 
-@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op", "bad-steps"])
+@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op", "bad-steps",
+                                  "negative-steps", "negative-steps-flag"])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert run(tmp_path, *_malformed(tmp_path, case)) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -203,6 +206,8 @@ def test_evolve_steps_from_program(tmp_path):
         ["divisor", "tri2", "--v0", "5"],
         ["divisor", "tri2", "--v0", "-1"],
         ["amoeba", "tri2", "--v0", "5", "--grid", "12"],
+        ["amoeba", "tri2", "--v0", "-1", "--grid", "12"],
+        ["amoeba", "sq1", "--v0", "99", "--grid", "12"],
         ["abel", "tri2", "--base", "7"],
         ["abel", "tri2", "--base", "-1"],
         ["ydelta", "tri2", "--y2d", "9"],
@@ -214,6 +219,7 @@ def test_evolve_steps_from_program(tmp_path):
 def test_out_of_range_id_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # checked before anything is written
 
 
 @pytest.mark.parametrize("command", ["charpoly", "newton", "ocrsf-check", "temperley-check"])

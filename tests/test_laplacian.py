@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from network_spectra import laplacian
 from network_spectra.errors import NetworkSpectraError, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import (
-    _det_dp,
-    _det_grid,
+    _det,
     build_laplacian,
     charpoly,
     node_check,
@@ -171,13 +172,21 @@ _entry = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _coe
 
 
 @st.composite
-def _laurent_matrices(draw):
-    n = draw(st.integers(1, 6))
+def _laurent_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
     rows = [[LaurentPoly2(draw(_entry)) for _ in range(n)] for _ in range(n)]
     zero_row = draw(st.none() | st.integers(0, n - 1))
     if zero_row is not None:
         rows[zero_row] = [LaurentPoly2.zero()] * n
     return rows
+
+
+def _det_by(engine, rows):
+    """``_det`` (shared integer front end, one division) with ``engine`` at every size."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_det_dp", "_det_grid"):
+            mp.setattr(laplacian, name, getattr(laplacian, engine))
+        return _det(rows)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -186,16 +195,64 @@ def _laurent_matrices(draw):
 @example([[LaurentPoly2.monomial(1, 0), LaurentPoly2.one()], [LaurentPoly2.zero()] * 2])
 @example([[LaurentPoly2.zero(), LaurentPoly2.one()], [LaurentPoly2.monomial(0, -1), LaurentPoly2.zero()]])
 def test_grid_engine_matches_dp(rows):
-    assert _det_grid(rows) == _det_dp(rows)
+    assert _det_by("_det_grid", rows) == _det_by("_det_dp", rows)
 
 
 @pytest.mark.parametrize("kind,m,n", [("sq", 3, 3), ("tri", 3, 3), ("sq", 4, 3)])
 def test_grid_engine_matches_dp_on_lattices(lattice, kind, m, n):
     g = lattice(kind, m, n)
     L = build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=False))
-    assert L.size > 8  # charpoly takes the grid engine
-    assert charpoly(L) == _det_dp(L.entries)
-    assert principal_minor(L, 0) == _det_dp(_minor_rows(L))
+    assert L.size > 8  # above the size switch
+    for rows in (L.entries, _minor_rows(L)):
+        assert _det_by("_det_grid", rows) == _det_by("_det_dp", rows)
+
+
+# -- both engines against an oracle that shares neither their front end nor their exit
+
+def _leibniz(rows):
+    """Sum over permutations in LaurentPoly2 (Fraction) arithmetic."""
+    total = LaurentPoly2.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        term = LaurentPoly2.one()
+        for u, v in enumerate(perm):
+            term = term * rows[u][v]
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) & 1
+        total = total - term if odd else total + term
+    return total
+
+
+_ENGINES = ["_det_dp", "_det_grid"]
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_laurent_matrices(max_n=4))
+@example([[LaurentPoly2({(-3, 2): Fraction(7, 999983), (1, -1): -2})]])
+@example([[LaurentPoly2.monomial(1, 0), LaurentPoly2.one()], [LaurentPoly2.zero()] * 2])
+def test_engines_match_leibniz(engine, rows):
+    assert _det_by(engine, rows) == _leibniz(rows)
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_engines_match_leibniz_long_denominators(engine):
+    rng, n = random.Random(3), 3
+
+    def entry():
+        return LaurentPoly2({(rng.randint(-1, 1), rng.randint(-1, 1)):
+                             Fraction(rng.randrange(-2**2000, 2**2000), rng.randrange(2**1999, 2**2000))
+                             for _ in range(2)})
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    assert _det_by(engine, rows) == _leibniz(rows)
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_engines_match_leibniz_on_laplacian(lattice, engine):
+    g, rng = lattice("sq", 2, 2), random.Random(3)
+    c = {e.id: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(2000) + 1), rng.getrandbits(2000) + 1) for e in g.edges}
+    rows = build_laplacian(g, c).entries
+    assert len(rows) == 4
+    assert _det_by(engine, rows) == _leibniz(rows)
 
 
 def _fraction_det(m):

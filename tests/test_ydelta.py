@@ -19,6 +19,7 @@ from network_spectra.ydelta import (
     Move,
     MoveProgram,
     apply_move,
+    conserved_vector,
     cube_recurrence_program,
     delta_to_y,
     discrete_abel,
@@ -198,6 +199,20 @@ def test_cube_recurrence_program_runs(rng):
     assert rep.strand_classes_preserved
     # the orbit genuinely moves
     assert rep.steps[1].conductances != rep.steps[0].conductances
+
+
+def test_conserved_vector_is_charpoly_over_anchor(rng):
+    # the integer shortcut against the Fraction path, along a cube-recurrence orbit
+    g, _ = build("tri2")
+    prog = MoveProgram.load(fixture_path("tri2_cube_program"))
+    rep = run_program(g, random_rational_conductances(g, rng), prog, 10)
+    assert rep.conserved_constant
+    for step in rep.steps:
+        p = charpoly(build_laplacian(g, step.conductances))
+        anchor = max(p.newton_polygon().vertices)
+        a = p.coeff(*anchor)
+        vec = tuple((ij, v / a) for ij, v in p.terms())
+        assert conserved_vector(g, step.conductances) == (vec, anchor) == (step.conserved, rep.anchor)
 
 
 def test_bad_iso_rejected():
