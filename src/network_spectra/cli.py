@@ -22,6 +22,7 @@ from . import fixtures as fixture_lib
 from .errors import SIZE_BOUND, InputError, NetworkSpectraError
 from .graph_core import TorusGraph, unit_conductances
 from .laplacian import build_laplacian, charpoly, node_check, principal_minor
+from .laurent import NewtonPolygon
 from .forests import (
     boundary_point_counts,
     dual_pair_hull,
@@ -31,7 +32,6 @@ from .forests import (
 )
 from .temperley import (
     dimer_class,
-    dimer_newton_polygon,
     enumerate_dimers,
     reference_pair,
     temperley_map,
@@ -166,7 +166,8 @@ def cmd_temperley_check(args) -> tuple[int, dict]:
     homology_ok = all(
         dimer_class(sup, m, m0, ref.cls) == p.cls for p, m in zip(pairs, images)
     )
-    polygon_ok = dimer_newton_polygon(graph) == zigzag_polygon(graph)
+    dimer_polygon = NewtonPolygon.from_points(dimer_class(sup, m, m0, ref.cls) for m in covers)
+    polygon_ok = dimer_polygon == zigzag_polygon(graph)
     data = {
         "pairs": len(pairs),
         "dimer_covers": len(covers),

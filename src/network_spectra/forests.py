@@ -1,10 +1,21 @@
 """Oriented cycle-rooted spanning forests: enumeration, the determinant
 oracle, dual pairs, and the fan constructions for boundary classes.
 
-An OCRSF is an edge subset of size |V| whose components each carry exactly one
-cycle, together with an orientation of every cycle.  Tree edges are oriented
-toward their component's cycle, so an oriented OCRSF is the same thing as a
-successor function: one outgoing dart per vertex, no edge used twice.
+An oriented OCRSF is stored as its successor function ``out``: one outgoing
+dart per vertex, no edge used twice.  Each component of such a function holds
+exactly one cycle and its tree darts point toward it, so the oriented OCRSFs
+are exactly the successor functions.  ``_successors`` enumerates them by
+backtracking over the vertices (a loop's two darts are its two orientations),
+and ``_forest`` walks one to read off its cycles and their classes.
+
+A dual pair's dual forest uses the dual edges of the primal forest's
+complement, so the dual forests are the dual graph's successor functions on
+the complement edges.  A primal forest with a contractible cycle (class
+(0, 0)) has none: the F faces inside that cycle share only F - 1 complement
+edges.  ``enumerate_dual_pairs`` still raises on such a forest instead of
+skipping it, with an explicit ``raise`` so that ``python -O`` keeps it: the
+benchmark in ``perfbench/`` lists this failure as known by its text, and
+skipping the forest belongs with the benchmark's re-baseline.
 """
 
 from __future__ import annotations
@@ -12,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import SIZE_BOUND, NetworkSpectraError, check_size
 from .graph_core import TorusGraph, Vec, vadd
@@ -23,12 +33,15 @@ from .zigzag import StrandSystem, fans, zigzag_polygon
 
 @dataclass(frozen=True)
 class OrientedForest:
-    """One OCRSF: oriented cycles plus tree darts pointing toward the cycles."""
+    """One OCRSF: its successor function and the oriented cycles read off it."""
 
-    edges: frozenset[int]
+    out: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
     cycle_classes: tuple[Vec, ...]
-    tree_darts: tuple[int, ...]
+
+    @property
+    def edges(self) -> frozenset[int]:
+        return frozenset(d >> 1 for d in self.out)
 
     def homology(self) -> Vec:
         h = (0, 0)
@@ -36,15 +49,9 @@ class OrientedForest:
             h = vadd(h, c)
         return h
 
-    def out_darts(self, graph: TorusGraph) -> dict[int, int]:
-        """The successor function: one outgoing dart per vertex."""
-        out = {}
-        for cyc in self.cycles:
-            for d in cyc:
-                out[graph.tail_of(d)] = d
-        for d in self.tree_darts:
-            out[graph.tail_of(d)] = d
-        return out
+    def out_darts(self) -> dict[int, int]:
+        """The successor function as a vertex -> dart map."""
+        return dict(enumerate(self.out))
 
     def weight(self, conductances: Mapping[int, Fraction]) -> Fraction:
         w = Fraction(1)
@@ -53,171 +60,68 @@ class OrientedForest:
         return w
 
     def is_union_of_cycles(self) -> bool:
-        return not self.tree_darts
+        return sum(map(len, self.cycles)) == len(self.out)
 
 
-def _components(graph: TorusGraph, edge_subset: Sequence[int]):
-    """Connected components spanned by the subset, as (vertices, edges) pairs."""
-    adj: dict[int, list[int]] = {}
-    for e in edge_subset:
-        ed = graph.edges[e]
-        adj.setdefault(ed.tail, []).append(e)
-        adj.setdefault(ed.head, []).append(e)
-    seen: set[int] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        verts = {start}
-        stack = [start]
-        edges: set[int] = set()
-        while stack:
-            v = stack.pop()
-            for e in adj[v]:
-                edges.add(e)
-                ed = graph.edges[e]
-                for u in (ed.tail, ed.head):
-                    if u not in verts:
-                        verts.add(u)
-                        stack.append(u)
-        seen |= verts
-        comps.append((verts, edges))
-    return comps
+def _successors(graph: TorusGraph, allowed: frozenset[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Every successor function, by backtracking over the vertices in order.
+
+    Each vertex takes an outgoing dart whose edge no earlier vertex took, on
+    the ``allowed`` edges only when they are given.
+    """
+    choices = [
+        [d for d in graph.rotation.get(v, ()) if allowed is None or d >> 1 in allowed]
+        for v in range(graph.n_vertices)
+    ]
+    out = [0] * graph.n_vertices
+    used: set[int] = set()
+
+    def extend(v: int) -> Iterator[tuple[int, ...]]:
+        if v == len(out):
+            yield tuple(out)
+            return
+        for d in choices[v]:
+            if d >> 1 not in used:
+                used.add(d >> 1)
+                out[v] = d
+                yield from extend(v + 1)
+                used.remove(d >> 1)
+
+    return extend(0)
 
 
-def _unique_cycle(graph: TorusGraph, verts: set[int], edges: set[int]):
-    """The unique cycle of a unicyclic component, as an oriented dart tuple."""
-    deg: dict[int, int] = {v: 0 for v in verts}
-    for e in edges:
-        ed = graph.edges[e]
-        deg[ed.tail] += 1
-        deg[ed.head] += 1
-    alive = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for e in list(alive):
-            ed = graph.edges[e]
-            if ed.tail != ed.head and (deg[ed.tail] == 1 or deg[ed.head] == 1):
-                alive.remove(e)
-                deg[ed.tail] -= 1
-                deg[ed.head] -= 1
-                changed = True
-    start_edge = min(alive)
-    d = 2 * start_edge
-    cyc = [d]
-    v = graph.head_of(d)
-    used = {start_edge}
-    while v != graph.tail_of(cyc[0]) or len(used) < len(alive):
-        for e in sorted(alive):
-            if e in used:
-                continue
-            ed = graph.edges[e]
-            if ed.tail == v:
-                cyc.append(2 * e)
-                used.add(e)
-                v = ed.head
-                break
-            if ed.head == v:
-                cyc.append(2 * e + 1)
-                used.add(e)
-                v = ed.tail
-                break
-        else:
-            raise AssertionError("cycle walk failed")
-    return tuple(cyc), alive
+def _forest(graph: TorusGraph, out: tuple[int, ...]) -> OrientedForest:
+    """Walk the successor function from each vertex; a walk that returns to
+    its own path closes a new cycle, which starts where the walk re-entered."""
+    seen = [False] * len(out)
+    cycles = []
+    for v in range(len(out)):
+        path = []
+        while not seen[v]:
+            seen[v] = True
+            path.append(v)
+            v = graph.head_of(out[v])
+        if v in path:
+            cycles.append(tuple(out[u] for u in path[path.index(v):]))
+    classes = []
+    for cyc in cycles:
+        h = (0, 0)
+        for d in cyc:
+            h = vadd(h, graph.disp(d))
+        classes.append(h)
+    return OrientedForest(out, tuple(cycles), tuple(classes))
 
 
-def _tree_darts_toward(graph: TorusGraph, edges: set[int], cycle_edges: set[int]):
-    """Orient non-cycle edges toward the cycle (each vertex one out-dart)."""
-    tree = edges - cycle_edges
-    if not tree:
-        return ()
-    cyc_verts = set()
-    for e in cycle_edges:
-        cyc_verts.add(graph.edges[e].tail)
-        cyc_verts.add(graph.edges[e].head)
-    adj: dict[int, list[int]] = {}
-    for e in tree:
-        ed = graph.edges[e]
-        adj.setdefault(ed.tail, []).append(e)
-        adj.setdefault(ed.head, []).append(e)
-    out = []
-    attached = set(cyc_verts)
-    frontier = [v for v in cyc_verts if v in adj]
-    remaining = set(tree)
-    while remaining:
-        new_frontier = []
-        for v in frontier:
-            for e in adj.get(v, ()):
-                if e not in remaining:
-                    continue
-                ed = graph.edges[e]
-                far = ed.head if ed.tail == v else ed.tail
-                out.append(2 * e + 1 if ed.tail == v else 2 * e)
-                remaining.remove(e)
-                if far not in attached:
-                    attached.add(far)
-                    new_frontier.append(far)
-        if not new_frontier and remaining:
-            raise AssertionError("tree orientation failed")
-        frontier = new_frontier
-    return tuple(sorted(out))
-
-
-def _cycle_class(graph: TorusGraph, cyc: Sequence[int]) -> Vec:
-    h = (0, 0)
-    for d in cyc:
-        h = vadd(h, graph.disp(d))
-    return h
-
-
-def _crsf_structures(graph: TorusGraph, max_edges: int):
-    """Unoriented CRSFs: (edge subset, canonical cycles, tree darts)."""
+def _ocrsfs(graph: TorusGraph, max_edges: int) -> Iterator[OrientedForest]:
     check_size(graph.n_edges, "edges", max_edges)
-    out = []
-    for subset in combinations(range(graph.n_edges), graph.n_vertices):
-        comps = _components(graph, subset)
-        if sum(len(vs) for vs, _ in comps) != graph.n_vertices:
-            continue
-        if any(len(vs) != len(es) for vs, es in comps):
-            continue
-        cycles = []
-        trees: list[int] = []
-        for vs, es in comps:
-            cyc, cyc_edges = _unique_cycle(graph, vs, es)
-            cycles.append(cyc)
-            trees.extend(_tree_darts_toward(graph, es, cyc_edges))
-        out.append((frozenset(subset), tuple(cycles), tuple(sorted(trees))))
-    return out
-
-
-def _orientations(graph: TorusGraph, cycles):
-    """All per-cycle orientation choices (2^k)."""
-    reversed_cycles = [tuple(graph.alpha(d) for d in reversed(c)) for c in cycles]
-    for choice in product((0, 1), repeat=len(cycles)):
-        yield tuple(
-            cycles[k] if pick == 0 else reversed_cycles[k]
-            for k, pick in enumerate(choice)
-        )
+    return (_forest(graph, out) for out in _successors(graph))
 
 
 def enumerate_ocrsfs(
     graph: TorusGraph, max_edges: int = SIZE_BOUND
 ) -> list[OrientedForest]:
-    """All OCRSFs: subset scan expanded over cycle orientations."""
-    out: list[OrientedForest] = []
-    for edges, cycles, trees in _crsf_structures(graph, max_edges):
-        for oriented in _orientations(graph, cycles):
-            out.append(
-                OrientedForest(
-                    edges,
-                    oriented,
-                    tuple(_cycle_class(graph, c) for c in oriented),
-                    trees,
-                )
-            )
-    return out
+    """All OCRSFs, one per successor function."""
+    return list(_ocrsfs(graph, max_edges))
 
 
 def pfnlap_sum(
@@ -227,22 +131,19 @@ def pfnlap_sum(
 ) -> LaurentPoly2:
     """Brute-force oracle for det of the twisted Laplacian.
 
-    Sums wt(gamma) * prod over cycles of (1 - chi^[cycle]); summing the two
-    orientations of each cycle independently turns the product into
-    prod of [(1 - chi^h) + (1 - chi^-h)] per unoriented CRSF.
+    Sums wt(gamma) * prod over oriented cycles of (1 - chi^[cycle]).  The
+    weights are added up per sorted tuple of cycle classes first, so each
+    product is expanded once per tuple.
     """
+    by_classes: dict[tuple[Vec, ...], Fraction] = {}
+    for f in _ocrsfs(graph, max_edges):
+        key = tuple(sorted(f.cycle_classes))
+        by_classes[key] = by_classes.get(key, 0) + f.weight(conductances)
     total = LaurentPoly2.zero()
-    for edges, cycles, _trees in _crsf_structures(graph, max_edges):
-        wt = Fraction(1)
-        for e in edges:
-            wt *= Fraction(conductances[e])
+    for classes, wt in by_classes.items():
         term = LaurentPoly2.constant(wt)
-        for cyc in cycles:
-            h = _cycle_class(graph, cyc)
-            factor = (LaurentPoly2.one() - LaurentPoly2.monomial(h[0], h[1])) + (
-                LaurentPoly2.one() - LaurentPoly2.monomial(-h[0], -h[1])
-            )
-            term = term * factor
+        for h in classes:
+            term = term * (1 - LaurentPoly2.monomial(*h))
         total = total + term
     return total
 
@@ -266,47 +167,31 @@ class DualPair:
         return self.primal.weight(conductances)
 
 
+def _dual_forests(dual: TorusGraph, primal: OrientedForest) -> list[OrientedForest]:
+    """The dual forests crossing no edge of ``primal``: the dual graph's
+    successor functions on the complement of its edges."""
+    complement = frozenset(range(dual.n_edges)) - primal.edges
+    forests = [_forest(dual, out) for out in _successors(dual, complement)]
+    for f in forests:
+        assert f.edges == complement, "dual complement is not a CRSF"
+        assert len(f.cycles) == len(primal.cycles), "dual cycle count differs from primal"
+    return forests
+
+
 def enumerate_dual_pairs(
     graph: TorusGraph, max_edges: int = SIZE_BOUND
 ) -> list[DualPair]:
     """All (primal OCRSF, crossing-free dual OCRSF) pairs.
 
-    The crossing-free dual edge set is forced to be the complement; only the
-    dual cycle orientations are free (2^k per primal forest).
+    The dual edge set is forced to be the complement; only the dual cycle
+    orientations are free (2^k per primal forest).
     """
     dual = graph.dual()
     pairs = []
-    for edges, cycles, trees in _crsf_structures(graph, max_edges):
-        complement = [e.id for e in graph.edges if e.id not in edges]
-        comps = _components(dual, complement)
-        assert sum(len(vs) for vs, _ in comps) == dual.n_vertices, (
-            "dual complement misses faces"
-        )
-        assert all(len(vs) == len(es) for vs, es in comps), (
-            "dual complement is not a CRSF"
-        )
-        dual_cycles = []
-        dual_trees: list[int] = []
-        for vs, es in comps:
-            cyc, cyc_edges = _unique_cycle(dual, vs, es)
-            dual_cycles.append(cyc)
-            dual_trees.extend(_tree_darts_toward(dual, es, cyc_edges))
-        assert len(dual_cycles) == len(cycles), "dual cycle count differs from primal"
-        for p_cycles in _orientations(graph, cycles):
-            primal = OrientedForest(
-                edges,
-                p_cycles,
-                tuple(_cycle_class(graph, c) for c in p_cycles),
-                trees,
-            )
-            for d_cycles in _orientations(dual, tuple(dual_cycles)):
-                dual_forest = OrientedForest(
-                    frozenset(complement),
-                    d_cycles,
-                    tuple(_cycle_class(dual, c) for c in d_cycles),
-                    tuple(sorted(dual_trees)),
-                )
-                pairs.append(DualPair.build(primal, dual_forest))
+    for primal in _ocrsfs(graph, max_edges):
+        if (0, 0) in primal.cycle_classes:
+            raise AssertionError("dual complement misses faces")
+        pairs.extend(DualPair.build(primal, d) for d in _dual_forests(dual, primal))
     return pairs
 
 
@@ -320,34 +205,13 @@ def dual_pair_hull(
 
 
 def _forest_from_out_darts(graph: TorusGraph, out: Mapping[int, int]) -> OrientedForest:
-    """Build an OrientedForest from a successor function that is a union of cycles."""
-    darts = sorted(out.values())
-    edges = frozenset(graph.edge_of(d) for d in darts)
-    if len(edges) != len(darts):
+    """The forest of a successor function that must be a union of cycles."""
+    if len({d >> 1 for d in out.values()}) != len(out):
         raise AssertionError("successor function reuses an edge")
-    indeg: dict[int, int] = {}
-    for d in darts:
-        indeg[graph.head_of(d)] = indeg.get(graph.head_of(d), 0) + 1
-    if set(indeg) != set(out) or any(v != 1 for v in indeg.values()):
+    forest = _forest(graph, tuple(out[v] for v in range(graph.n_vertices)))
+    if not forest.is_union_of_cycles():
         raise AssertionError("selection is not a disjoint union of cycles")
-    cycles = []
-    seen: set[int] = set()
-    for v0 in sorted(out):
-        if v0 in seen:
-            continue
-        cyc = []
-        v = v0
-        while v not in seen:
-            seen.add(v)
-            cyc.append(out[v])
-            v = graph.head_of(out[v])
-        cycles.append(tuple(cyc))
-    return OrientedForest(
-        edges,
-        tuple(cycles),
-        tuple(_cycle_class(graph, c) for c in cycles),
-        (),
-    )
+    return forest
 
 
 def extremal_table(graph: TorusGraph) -> dict[Vec, OrientedForest]:
@@ -376,38 +240,23 @@ def extremal_ocrsf(graph: TorusGraph, polygon_vertex: Vec) -> OrientedForest:
     return extremal_table(graph)[v]
 
 
-def _chain_of_forest(graph: TorusGraph, f: OrientedForest) -> dict[int, int]:
-    """Signed edge chain (+1 forward dart, -1 backward) of a union of cycles."""
+def _chain(darts: Iterable[int]) -> dict[int, int]:
+    """Signed edge chain of a dart sequence: +1 per forward dart, -1 per backward."""
     chain: dict[int, int] = {}
-    for cyc in f.cycles:
-        for d in cyc:
-            e = graph.edge_of(d)
-            chain[e] = chain.get(e, 0) + (1 if graph.is_forward(d) else -1)
-    return chain
-
-
-def _chain_of_strand(graph: TorusGraph, strand) -> dict[int, int]:
-    chain: dict[int, int] = {}
-    for d in strand.darts:
-        e = graph.edge_of(d)
-        chain[e] = chain.get(e, 0) + (1 if graph.is_forward(d) else -1)
+    for d in darts:
+        chain[d >> 1] = chain.get(d >> 1, 0) + (-1 if d & 1 else 1)
     return chain
 
 
 def polygon_edge_families(graph: TorusGraph):
     """For each ccw boundary edge (V1 -> V2): primitive vector and its strands."""
     poly = zigzag_polygon(graph)
-    sys = StrandSystem(graph)
+    strands = StrandSystem(graph).strands
     out = []
-    n = len(poly.vertices)
-    for k in range(n):
-        v1 = poly.vertices[k]
-        v2 = poly.vertices[(k + 1) % n]
-        vec = (v2[0] - v1[0], v2[1] - v1[1])
-        g = math.gcd(abs(vec[0]), abs(vec[1]))
-        prim = (vec[0] // g, vec[1] // g)
-        family = [s.id for s in sys.strands if s.homology == prim]
-        assert len(family) == g, (v1, v2, family)
+    for v1, (prim, n) in zip(poly.vertices, poly.primitive_edges()):
+        v2 = (v1[0] + n * prim[0], v1[1] + n * prim[1])
+        family = [s.id for s in strands if s.homology == prim]
+        assert len(family) == n, (v1, v2, family)
         out.append({"v1": v1, "v2": v2, "primitive": prim, "strands": family})
     return out
 
@@ -432,13 +281,12 @@ def external_ocrsf(
         raise NetworkSpectraError(
             f"subset {subset} not within the family {fam['strands']} of edge ({v1}, {v2})"
         )
-    sys = StrandSystem(graph)
-    chain = _chain_of_forest(graph, extremal_ocrsf(graph, v1))
+    strands = StrandSystem(graph).strands
+    darts = list(extremal_ocrsf(graph, v1).out)
     for sid in subset:
-        for e, val in _chain_of_strand(graph, sys.strands[sid]).items():
-            chain[e] = chain.get(e, 0) + val
+        darts.extend(strands[sid].darts)
     out: dict[int, int] = {}
-    for e, val in chain.items():
+    for e, val in _chain(darts).items():
         if val == 0:
             continue
         if abs(val) != 1:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import SIZE_BOUND, NetworkSpectraError, check_size
-from .forests import DualPair, enumerate_dual_pairs, extremal_table
+from .forests import DualPair, _dual_forests, extremal_table
 from .graph_core import SuperposedGraph, TorusGraph, Vec, vadd, vsub
 from .laurent import NewtonPolygon
 
@@ -61,16 +61,14 @@ def enumerate_dimers(sup: SuperposedGraph, max_whites: int = SIZE_BOUND) -> list
 
 
 def temperley_map(sup: SuperposedGraph, pair: DualPair) -> DimerCover:
-    """The dimer cover induced by a dual pair of OCRSFs."""
-    base = sup.base
-    dual_basegraph = base.dual()
-    edges: list[int] = []
-    for v, d in sorted(pair.primal.out_darts(base).items()):
-        side = "tail" if base.is_forward(d) else "head"
-        edges.append(sup.half_edge(base.edge_of(d), side))
-    for f, d in sorted(pair.dual.out_darts(dual_basegraph).items()):
-        side = "left" if dual_basegraph.is_forward(d) else "right"
-        edges.append(sup.half_edge(dual_basegraph.edge_of(d), side))
+    """The dimer cover induced by a dual pair of OCRSFs.
+
+    Each forest dart ``d`` matches the white of edge ``d >> 1`` on its tail
+    side, which ``d & 1`` names: tail/head for primal darts, left/right face
+    for dual darts.
+    """
+    edges = [sup.half_edge(d >> 1, ("tail", "head")[d & 1]) for d in pair.primal.out]
+    edges += [sup.half_edge(d >> 1, ("left", "right")[d & 1]) for d in pair.dual.out]
     cover = DimerCover(frozenset(edges))
     _check_matching(sup, cover)
     return cover
@@ -110,18 +108,15 @@ def reference_pair(graph: TorusGraph) -> DualPair:
     """The extremal dual pair at the lexicographically maximal polygon vertex.
 
     Its orientations are forced: all primal and dual cycles add up to the
-    vertex class.  Used as the reference matching, which pins down the
-    translation freedom of dimer classes so that [M_F] = [F] exactly.
+    vertex class, so one of the 2^k dual forests on the extremal forest's
+    complement qualifies.  Used as the reference matching, which pins down
+    the translation freedom of dimer classes so that [M_F] = [F] exactly.
     """
     table = extremal_table(graph)
     vmax = max(table)
-    target = table[vmax]
-    for pair in enumerate_dual_pairs(graph):
-        if (
-            pair.primal.edges == target.edges
-            and pair.primal.cycles == target.cycles
-            and pair.cls == vmax
-        ):
+    for dual in _dual_forests(graph.dual(), table[vmax]):
+        pair = DualPair.build(table[vmax], dual)
+        if pair.cls == vmax:
             return pair
     raise AssertionError(f"no dual pair realizes the extremal class {vmax}")
 

@@ -312,6 +312,10 @@ def conserved_vector(graph: TorusGraph, conductances) -> tuple[tuple, Vec]:
     return tuple((ij, Fraction(d[ij], d[anchor])) for ij in sorted(d)), anchor
 
 
+def _strand_classes(graph: TorusGraph) -> list[Vec]:
+    return sorted(s.homology for s in StrandSystem(graph).strands)
+
+
 def run_program(
     graph: TorusGraph,
     conductances: Mapping[int, Fraction],
@@ -327,13 +331,13 @@ def run_program(
         g, c, _ = apply_move(g, c, move)
     if not is_isomorphism(g, graph, program.iso_vertices, program.iso_edges):
         raise NetworkSpectraError("the program's relabeling is not an isomorphism onto the initial graph")
+    # strand classes depend on the graph alone, and every step moves the start graph the same way
+    classes_ok = _strand_classes(g) == _strand_classes(graph)
 
-    classes0 = sorted(s.homology for s in StrandSystem(graph).strands)
     c = {k: Fraction(v) for k, v in conductances.items()}
     vec0, anchor = conserved_vector(graph, c)
     steps_out = [TrajectoryStep(0, dict(c), vec0)]
     constant = True
-    classes_ok = True
     for n in range(1, steps + 1):
         g = graph
         for move in program.moves:
@@ -342,10 +346,8 @@ def run_program(
             except SingularDenominator as exc:
                 raise SingularDenominator(f"step {n}: {exc}") from exc
         c = {e: c[fe] for fe, e in program.iso_edges.items()}
-        g = graph
-        vec, _ = conserved_vector(g, c)
+        vec, _ = conserved_vector(graph, c)
         constant &= vec == vec0
-        classes_ok &= sorted(s.homology for s in StrandSystem(g).strands) == classes0
         steps_out.append(TrajectoryStep(n, dict(c), vec))
     return TrajectoryReport(steps_out, constant, anchor, classes_ok)
 

@@ -166,7 +166,7 @@ def test_criterion_5_external_ocrsf_structure():
             for k in range(len(fam["strands"]) + 1):
                 forest = external_ocrsf(g, edge, fam["strands"][:k])
                 assert forest.is_union_of_cycles(), (name, edge, k)
-                out = forest.out_darts(g)
+                out = forest.out_darts()
                 assert sorted(out) == list(range(g.n_vertices))
                 indeg = {}
                 for d in out.values():

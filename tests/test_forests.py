@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from network_spectra import forests as forests_mod
 from network_spectra.errors import NetworkSpectraError, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.forests import (
@@ -47,7 +48,7 @@ def test_component_balance():
     g, _ = build("tri2")
     for f in enumerate_ocrsfs(g):
         assert len(f.edges) == g.n_vertices
-        out = f.out_darts(g)
+        out = f.out_darts()
         assert sorted(out) == list(range(g.n_vertices))
 
 
@@ -118,6 +119,8 @@ def test_extremal_unique_per_polygon_vertex(any_network):
         assert counts[v] == 1
         assert forest.is_union_of_cycles()
         assert forest.homology() == v
+        for cyc in forest.cycles:  # each cycle is walked from its least vertex
+            assert g.tail_of(cyc[0]) == min(g.tail_of(d) for d in cyc)
 
 
 def test_extremal_sq1():
@@ -166,7 +169,7 @@ def test_external_full_family_identity(any_network):
         for k in range(len(fam["strands"]) + 1):
             f = external_ocrsf(g, edge, fam["strands"][:k])
             assert f.is_union_of_cycles()
-            out = f.out_darts(g)
+            out = f.out_darts()
             indeg = Counter(g.head_of(d) for d in out.values())
             assert all(indeg[v] == 1 for v in range(g.n_vertices))
 
@@ -202,3 +205,39 @@ def test_weights_product_of_conductances(rng):
         for e in f.edges:
             expected *= c[e]
         assert f.weight(c) == expected
+
+
+LATTICE_OCRSF_COUNTS = [("sq", 2, 2, 136), ("tri", 2, 2, 876), ("sq", 3, 2, 1538)]
+
+
+@pytest.mark.parametrize("kind, m, n, count", LATTICE_OCRSF_COUNTS, ids=["sq2x2", "tri2x2", "sq3x2"])
+def test_lattice_ocrsfs_are_successor_functions(lattice, rng, kind, m, n, count):
+    g = lattice(kind, m, n)
+    forests = enumerate_ocrsfs(g)
+    assert len(forests) == count == len({f.out for f in forests})
+    for f in forests:
+        assert len(f.edges) == g.n_vertices
+        assert all(g.tail_of(d) == v for v, d in f.out_darts().items())
+        for cyc in f.cycles:  # closed walks along the successor function
+            assert all(f.out[g.tail_of(d)] == d for d in cyc)
+            assert all(g.head_of(a) == g.tail_of(b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    for _ in range(2):
+        c = random_rational_conductances(g, rng, positive=False)
+        assert pfnlap_sum(g, c) == charpoly(build_laplacian(g, c))
+
+
+@pytest.mark.parametrize("kind, m, n", [(k, m, n) for k, m, n, _ in LATTICE_OCRSF_COUNTS],
+                         ids=["sq2x2", "tri2x2", "sq3x2"])
+def test_contractible_cycle_raises_before_dual_forests(lattice, monkeypatch, kind, m, n):
+    # Known failure, kept on purpose: perfbench/run.py's KNOWN_FAILURES expects this
+    # text from `newton` and `temperley-check` on these three lattices.  ROADMAP
+    # item 4 deletes the raise together with the benchmark's re-baseline.
+    real = forests_mod._dual_forests
+
+    def dual_forests(dual, primal):
+        assert (0, 0) not in primal.cycle_classes
+        return real(dual, primal)
+
+    monkeypatch.setattr(forests_mod, "_dual_forests", dual_forests)
+    with pytest.raises(AssertionError, match=r"^dual complement misses faces$"):
+        enumerate_dual_pairs(lattice(kind, m, n))

@@ -106,3 +106,24 @@ def test_reference_change_translates_hull():
 def test_dimer_polygon_equals_network_polygon(any_network):
     g, _ = any_network
     assert dimer_newton_polygon(g) == zigzag_polygon(g)
+
+
+def test_temperley_check_enumerates_once(tmp_path, monkeypatch):
+    from network_spectra import cli, forests, graph_core, temperley
+
+    calls = {"enumerate_dual_pairs": 0, "enumerate_dimers": 0, "dual": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, forests, temperley):
+        for name in ("enumerate_dual_pairs", "enumerate_dimers"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(graph_core.TorusGraph, "dual", spy("dual", graph_core.TorusGraph.dual))
+    assert cli.main(["temperley-check", "tri2", "--out", str(tmp_path)]) == 0
+    assert calls["enumerate_dual_pairs"] == calls["enumerate_dimers"] == 1
+    assert calls["dual"] <= 2

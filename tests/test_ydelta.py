@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from network_spectra import ydelta
 from network_spectra.errors import NetworkSpectraError, SingularDenominator
 from network_spectra.fixtures import build, fixture_path
 from network_spectra.graph_core import (
@@ -298,3 +299,39 @@ def test_abel_face_loop_returns_home():
     g, _ = build("hex1")
     chart = discrete_abel(g, ("vertex", 0), ((0, 0), (0, 0)))
     assert ("face", 0, (0, 0)) in chart.entries or len(chart.entries) >= 1
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+def test_strand_classes_compared_once(monkeypatch, rng, steps):
+    # the start graph against the graph the moves produce, whatever the step count
+    built = []
+
+    class Spy(ydelta.StrandSystem):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(ydelta, "StrandSystem", Spy)
+    g, _ = build("tri2")
+    prog = MoveProgram.load(fixture_path("tri2_cube_program"))
+    rep = run_program(g, random_rational_conductances(g, rng), prog, steps)
+    assert rep.strand_classes_preserved
+    assert len(built) == 2 and built[1] is g and built[0] is not g
+
+
+def test_strand_classes_changed_reported(monkeypatch, rng):
+    g, _ = build("tri2")
+    prog = MoveProgram.load(fixture_path("tri2_cube_program"))
+    other = build("sq1")[0]  # four strands, not tri2's six
+    real_apply = ydelta.apply_move
+
+    def apply_move(graph, c, move):
+        g2, c2, info = real_apply(graph, c, move)
+        return (other if move is prog.moves[-1] else g2), c2, info
+
+    monkeypatch.setattr(ydelta, "apply_move", apply_move)
+    monkeypatch.setattr(ydelta, "is_isomorphism", lambda *args: True)
+    rep = run_program(g, random_rational_conductances(g, rng), prog, 2)
+    assert rep.conserved_constant
+    assert rep.strand_classes_preserved is False
+    assert rep.to_json()["strand_classes_preserved"] is False
