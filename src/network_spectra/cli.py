@@ -5,8 +5,8 @@ such as ``sq1``), runs its checks, writes a JSON report into the output
 directory, and exits 0 only if all asserted checks passed.  Exit codes:
 0 success, 1 failed checks, 2 usage errors, malformed network or
 move-program files (invalid JSON, missing keys, zero conductances, unknown
-move ops, a step count that is negative or not an integer) and out-of-range
-vertex or face ids, 3 I/O errors.
+move ops, a step count that is negative or not an integer), a negative draw
+count or window, and out-of-range vertex or face ids, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import fixtures as fixture_lib
 from .errors import SIZE_BOUND, InputError, NetworkSpectraError
-from .graph_core import TorusGraph, unit_conductances
+from .graph_core import TorusGraph, random_rational_conductances, unit_conductances
 from .laplacian import build_laplacian, charpoly, node_check, principal_minor
 from .laurent import NewtonPolygon
 from .forests import (
@@ -37,7 +37,7 @@ from .temperley import (
     temperley_map,
 )
 from .ydelta import MoveProgram, discrete_abel, invariance_check, run_program
-from .zigzag import minimality_check, trace_strands, zigzag_polygon
+from .zigzag import infinity_splits, minimality_check, points_at_infinity, trace_strands, zigzag_polygon
 
 
 def _load_network(path_or_name: str):
@@ -111,39 +111,44 @@ def cmd_newton(args) -> tuple[int, dict]:
     n_char = p.newton_polygon()
     n_zz = zigzag_polygon(graph)
     n_pairs = dual_pair_hull(graph, max_edges=args.bound)
-    ok = n_char == n_zz == n_pairs
+    points = points_at_infinity(graph, c)
+    all_equal = n_char == n_zz == n_pairs
     data = {
         "charpoly_polygon": n_char.to_json(),
         "zigzag_polygon": n_zz.to_json(),
         "dual_pair_polygon": n_pairs.to_json(),
-        "all_equal": ok,
+        "all_equal": all_equal,
         "interior_lattice_points": n_char.interior_lattice_count(),
         "boundary_lattice_points": n_char.boundary_lattice_count(),
         "genus": n_char.interior_lattice_count() - 1,
         "centrally_symmetric": n_char.is_centrally_symmetric(),
+        "points_at_infinity": [[*h, str(nu)] for h, nu in points],
+        "boundary_edges_split": infinity_splits(p, points),
     }
-    return (0 if ok and data["centrally_symmetric"] else 1), data
+    ok = all_equal and data["centrally_symmetric"] and data["boundary_edges_split"]
+    return (0 if ok else 1), data
 
 
 def cmd_ocrsf_check(args) -> tuple[int, dict]:
+    if args.draws < 0:
+        raise InputError(f"the draw count {args.draws} is negative")
     graph, c, _ = _load_network(args.input)
     rng = random.Random(args.seed)
     det = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
-    oracle = pfnlap_sum(graph, c, max_edges=args.bound)
+    forests = enumerate_ocrsfs(graph, max_edges=args.bound)
+    oracle = pfnlap_sum(forests, c)
     draws_ok = True
-    from .graph_core import random_rational_conductances
-
     for _ in range(args.draws):
         cr = random_rational_conductances(graph, rng, positive=False)
-        draws_ok &= pfnlap_sum(graph, cr, max_edges=args.bound) == charpoly(
+        draws_ok &= pfnlap_sum(forests, cr) == charpoly(
             build_laplacian(graph, cr), max_vertices=args.bound
         )
-    counts, expected = boundary_point_counts(graph, max_edges=args.bound)
+    counts, expected = boundary_point_counts(graph, forests)
     data = {
         "oracle_equality": det == oracle,
         "random_draws": args.draws,
         "random_draws_equal": draws_ok,
-        "ocrsf_count": len(enumerate_ocrsfs(graph, max_edges=args.bound)),
+        "ocrsf_count": len(forests),
         "boundary_counts": {str(k): v for k, v in sorted(counts.items())},
         "binomial_expected": {str(k): v for k, v in sorted(expected.items())},
         "binomial_match": counts == expected,
@@ -194,8 +199,6 @@ def cmd_evolve(args) -> tuple[int, dict]:
     program = MoveProgram.load(args.program)
     steps = args.steps if args.steps is not None else program.steps
     if args.random_conductances:
-        from .graph_core import random_rational_conductances
-
         c = random_rational_conductances(graph, random.Random(args.seed))
     t0 = time.time()
     rep = run_program(graph, c, program, steps)
@@ -268,8 +271,10 @@ def cmd_divisor(args) -> tuple[int, dict]:
 
 
 def cmd_abel(args) -> tuple[int, dict]:
-    graph, _, _ = _load_network(args.input)
     k = args.window
+    if k < 0:
+        raise InputError(f"the window {k} is negative")
+    graph, _, _ = _load_network(args.input)
     chart = discrete_abel(graph, ("vertex", args.base), ((-k, k), (-k, k)))
     eq = {
         "(1,0)": chart.check_equivariance((1, 0)),
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "structural torus-graph checks")
     add("charpoly", cmd_charpoly, "exact characteristic polynomial and node report")
     add("zigzag", cmd_zigzag, "strand table and minimality verdict")
-    add("newton", cmd_newton, "three-way boundary polygon comparison")
+    add("newton", cmd_newton, "three-way boundary polygon comparison and points at infinity")
     add("ocrsf-check", cmd_ocrsf_check, "forest oracle vs determinant; boundary counts").add_argument(
         "--draws", type=int, default=20
     )

@@ -125,18 +125,17 @@ def enumerate_ocrsfs(
 
 
 def pfnlap_sum(
-    graph: TorusGraph,
-    conductances: Mapping[int, Fraction],
-    max_edges: int = SIZE_BOUND,
+    forests: Iterable[OrientedForest], conductances: Mapping[int, Fraction]
 ) -> LaurentPoly2:
-    """Brute-force oracle for det of the twisted Laplacian.
+    """Brute-force oracle for det of the twisted Laplacian, from its OCRSFs.
 
     Sums wt(gamma) * prod over oriented cycles of (1 - chi^[cycle]).  The
     weights are added up per sorted tuple of cycle classes first, so each
-    product is expanded once per tuple.
+    product is expanded once per tuple.  The forests do not depend on the
+    conductances, so one ``enumerate_ocrsfs`` list serves every draw.
     """
     by_classes: dict[tuple[Vec, ...], Fraction] = {}
-    for f in _ocrsfs(graph, max_edges):
+    for f in forests:
         key = tuple(sorted(f.cycle_classes))
         by_classes[key] = by_classes.get(key, 0) + f.weight(conductances)
     total = LaurentPoly2.zero()
@@ -301,11 +300,12 @@ def external_ocrsf(
     return _forest_from_out_darts(graph, out)
 
 
-def boundary_point_counts(graph: TorusGraph, max_edges: int = SIZE_BOUND):
-    """#OCRSFs per boundary lattice point, with the binomial reference value."""
+def boundary_point_counts(graph: TorusGraph, forests: Iterable[OrientedForest]):
+    """#OCRSFs of ``forests`` per boundary lattice point, with the binomial
+    reference value."""
     poly = zigzag_polygon(graph)
     counts: dict[Vec, int] = {}
-    for f in enumerate_ocrsfs(graph, max_edges=max_edges):
+    for f in forests:
         h = f.homology()
         if poly.contains(h) and not poly.contains(h, strict=True):
             counts[h] = counts.get(h, 0) + 1

@@ -1,5 +1,5 @@
-"""Floating-point spectral data: amoebas, kernel vectors, divisor points on
-ovals, and experimental points-at-infinity estimates.
+"""Floating-point spectral data: amoebas, kernel vectors and divisor points on
+ovals.  The points at infinity are exact (``zigzag.points_at_infinity``).
 
 Everything here consumes the exact characteristic polynomial but computes in
 floating point; the tolerances a caller sets are arguments with the defaults
@@ -35,8 +35,6 @@ OVAL_MARGIN = 0.4        # a cluster this close to the sweep edge in log scale i
 BISECT_ITERS = 80
 DEDUPE_TOL = 1e-5        # divisor points closer than this (relative) are one point
 DEFECT_BINS = 40         # occupancy grid of the symmetry defect, per axis
-TENTACLE_T_MAX = 9.0     # tentacles are followed over |log| in [T_MAX / 2, T_MAX]
-TENTACLE_STEPS = 12
 SVG_SIZE = 600
 
 log = logging.getLogger(__name__)
@@ -479,96 +477,6 @@ def _dedupe_points(points: list[DivisorPoint]) -> list[DivisorPoint]:
         ):
             out.append(p)
     return out
-
-
-# -- points at infinity (experimental) ------------------------------------------
-
-
-@dataclass
-class TentacleEstimate:
-    primitive: tuple[int, int]
-    family_size: int
-    edge_poly_roots: list[complex]
-    tentacle_limits: list[complex]
-    uncertainties: list[float]
-
-    def to_json(self) -> dict:
-        return {
-            "primitive": list(self.primitive),
-            "family_size": self.family_size,
-            "edge_poly_roots": [[r.real, r.imag] for r in self.edge_poly_roots],
-            "tentacle_limits": [[v.real, v.imag] for v in self.tentacle_limits],
-            "uncertainties": self.uncertainties,
-        }
-
-
-def infinity_coordinates(
-    graph: TorusGraph,
-    conductances: Mapping[int, object],
-) -> list[TentacleEstimate]:
-    """Per-boundary-edge limits of the class monomial along amoeba tentacles.
-
-    Advisory numbers: for each ccw boundary edge with primitive vector (a, b),
-    follows the tentacle in the outward normal direction and reports the limit
-    of z^a w^b, together with the roots of the boundary-edge polynomial that
-    the limits should approach.  No equality with any other quantity is
-    asserted.
-    """
-    from .laplacian import charpoly
-
-    L = build_laplacian(graph, dict(conductances))
-    p = charpoly(L)
-    poly = p.newton_polygon()
-    out = []
-    nverts = len(poly.vertices)
-    for k in range(nverts):
-        v1 = poly.vertices[k]
-        v2 = poly.vertices[(k + 1) % nverts]
-        vec = (v2[0] - v1[0], v2[1] - v1[1])
-        g = math.gcd(abs(vec[0]), abs(vec[1]))
-        a, b = vec[0] // g, vec[1] // g
-        normal = (b, -a)  # outward for ccw boundary
-        edge_poly = [float(p.coeff(v1[0] + t * a, v1[1] + t * b)) for t in range(g + 1)]
-        roots = [complex(r) for r in np.roots(list(reversed(edge_poly)))]
-        limits, uncerts = _follow_tentacle(p, (a, b), normal, g)
-        out.append(TentacleEstimate((a, b), g, roots, limits, uncerts))
-    return out
-
-
-def _follow_tentacle(p, prim, normal, count):
-    """Track the `count` branches along direction `normal`, evaluating chi^prim."""
-    a, b = prim
-    ts = np.linspace(TENTACLE_T_MAX / 2, TENTACLE_T_MAX, TENTACLE_STEPS)
-    drive_z = abs(normal[0]) >= abs(normal[1])
-    tracks: list[list[complex]] = [[] for _ in range(count)]
-    for t in ts:
-        try:
-            if drive_z:
-                z = cmath.exp(normal[0] * t)
-                ws = fiber_roots(p, z)
-                cands = [(z, w) for w in ws]
-                # keep roots whose log|w| tracks the tentacle line
-                cands.sort(key=lambda zw: abs(math.log(abs(zw[1])) - normal[1] * t))
-            else:
-                w = cmath.exp(normal[1] * t)
-                zs = fiber_roots_in_z(p, w)
-                cands = [(z, w) for z in zs]
-                cands.sort(key=lambda zw: abs(math.log(abs(zw[0])) - normal[0] * t))
-        except DegenerateFiber:
-            continue
-        vals = sorted(
-            (zw[0] ** a * zw[1] ** b for zw in cands[:count]),
-            key=lambda v: (round(v.real, 6), round(v.imag, 6)),
-        )
-        for i, v in enumerate(vals[:count]):
-            tracks[i].append(v)
-    limits, uncerts = [], []
-    for tr in tracks:
-        if len(tr) < 2:
-            raise NoConvergence("tentacle tracking lost every branch")
-        limits.append(tr[-1])
-        uncerts.append(abs(tr[-1] - tr[-2]))
-    return limits, uncerts
 
 
 # -- output writers -----------------------------------------------------------------

@@ -15,6 +15,15 @@ the head (in both directions) form one arc through the edge's midpoint, the
 two L-transits form the other, and the two arcs cross exactly once.  Summing
 |det| bounds over strand pairs therefore equals the edge count on a minimal
 network.
+
+Each strand s has a point at infinity, the rational number
+
+    nu(s) = prod over L-states (d, L) of (-c_{d >> 1}) / prod over R-states of c_{d >> 1},
+
+equal for a strand and its reversal.  On a minimal network, take the ccw
+boundary edge of Newton(P) from V1 with primitive vector h and lattice length
+n: E(t) = sum_k P[V1 + k h] t^k is its top coefficient times the product of
+(t - nu(s)) over the n strands of class h (``infinity_splits``, exactly).
 """
 
 from __future__ import annotations
@@ -22,11 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Mapping
 
 from .errors import NetworkSpectraError
 from .graph_core import TorusGraph, Vec, vadd
-from .laurent import NewtonPolygon
+from .laurent import LaurentPoly2, NewtonPolygon
 
 RIGHT = "R"
 LEFT = "L"
@@ -94,6 +104,35 @@ class StrandSystem:
 
 def trace_strands(graph: TorusGraph) -> list[ZigZagStrand]:
     return list(StrandSystem(graph).strands)
+
+
+def points_at_infinity(
+    graph: TorusGraph, conductances: Mapping[int, object]
+) -> list[tuple[Vec, Fraction]]:
+    """(class, nu) of every strand, in trace order."""
+    out = []
+    for s in StrandSystem(graph).strands:
+        nu = Fraction(1)
+        for d, turn in s.states:
+            c = Fraction(conductances[d >> 1])
+            nu = nu * -c if turn == LEFT else nu / c
+        out.append((s.homology, nu))
+    return out
+
+
+def infinity_splits(p: LaurentPoly2, points: list[tuple[Vec, Fraction]]) -> bool:
+    """True iff every ccw boundary edge polynomial of ``p`` is its top
+    coefficient times the product of (t - nu) over the points of its class."""
+    poly = p.newton_polygon()
+    for (x, y), (h, n) in zip(poly.vertices, poly.primitive_edges()):
+        edge = [p.coeff(x + k * h[0], y + k * h[1]) for k in range(n + 1)]
+        expanded = [edge[n]]  # coefficients low to high
+        for cls, nu in points:
+            if cls == h:  # times (t - nu)
+                expanded = [b - nu * a for a, b in zip(expanded + [0], [0] + expanded)]
+        if expanded != edge:
+            return False
+    return True
 
 
 # -- minimality ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from network_spectra import forests as forests_mod
 from network_spectra.cli import main
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 
@@ -38,6 +39,8 @@ def test_zigzag_and_newton(tmp_path):
     assert data["all_equal"]
     assert data["interior_lattice_points"] == 3
     assert data["genus"] == 2
+    assert data["boundary_edges_split"]
+    assert data["points_at_infinity"][:2] == [[1, 2, "10/3"], [0, -1, "-6"]]
     assert data["centrally_symmetric"]
 
 
@@ -134,6 +137,17 @@ def test_check_failure_exit_1(tmp_path):
     path = tmp_path / "subdivided.json"
     g.save(path)
     assert run(tmp_path, "zigzag", str(path)) == 1
+    # the points at infinity belong to minimal networks
+    assert run(tmp_path, "newton", str(path)) == 1
+    assert not json.loads((tmp_path / "newton_subdivided.json").read_text())["boundary_edges_split"]
+
+
+def test_ocrsf_check_enumerates_once(tmp_path, monkeypatch):
+    calls = []
+    successors = forests_mod._successors
+    monkeypatch.setattr(forests_mod, "_successors", lambda *a: calls.append(a) or successors(*a))
+    assert run(tmp_path, "ocrsf-check", "tri2", "--draws", "2") == 0
+    assert len(calls) == 1
 
 
 def test_file_input_equivalent_to_fixture(tmp_path):
@@ -213,6 +227,8 @@ def test_evolve_steps_from_program(tmp_path):
         ["ydelta", "tri2", "--y2d", "9"],
         ["ydelta", "tri2", "--d2y", "99"],
         ["ydelta", "tri2", "--d2y", "-1"],
+        ["abel", "tri2", "--window", "-1"],
+        ["ocrsf-check", "hex1", "--draws", "-3"],
     ],
     ids=" ".join,
 )

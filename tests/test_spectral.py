@@ -8,22 +8,22 @@ import numpy as np
 import pytest
 
 from network_spectra.errors import CorankTwo, DegenerateFiber, NetworkSpectraError
-from network_spectra.fixtures import build, tri2_generic
+from network_spectra.fixtures import FIXTURE_NAMES, build, tri2_generic
 from network_spectra import spectral
+from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
     amoeba,
     fiber_roots,
     fiber_roots_in_z,
-    infinity_coordinates,
     null_vectors,
     real_ovals,
     spectral_divisor,
     write_amoeba_csv,
     write_amoeba_svg,
 )
-from network_spectra.zigzag import trace_strands
+from network_spectra.zigzag import StrandSystem, infinity_splits, points_at_infinity, trace_strands
 
 
 @pytest.fixture(scope="module")
@@ -321,45 +321,46 @@ def test_divisor_wrong_count_at_degenerate_point():
 
 
 def test_infinity_sq1_directions():
-    g, c = build("sq1")
-    ests = infinity_coordinates(g, c)
-    prims = sorted(e.primitive for e in ests)
-    strands = sorted(s.homology for s in trace_strands(g))
-    assert prims == strands  # one tentacle family per strand class
-    for e in ests:
-        assert len(e.tentacle_limits) == e.family_size
-        for v, r in zip(sorted(e.tentacle_limits, key=abs), sorted(e.edge_poly_roots, key=abs)):
-            assert abs(v - r) < 5e-2 * (1 + abs(r))
+    # by hand, P = 2a + 2b - a(z + 1/z) - b(w + 1/w): the boundary edge from
+    # (-1, 0) to (0, -1) has E(t) = -a - b t, so its strand sits at -a/b
+    g, _ = build("sq1")
+    a, b = Fraction(2), Fraction(3)
+    points = dict(points_at_infinity(g, {0: a, 1: b}))
+    assert sorted(points) == sorted(s.homology for s in trace_strands(g))
+    assert points == {(1, -1): -a / b, (-1, 1): -a / b, (1, 1): -b / a, (-1, -1): -b / a}
 
 
 def test_infinity_hex1_values():
+    # by hand, the edge from (0, -1) to (1, -1) has E(t) = -c0 c2 - c1 c2 t
     g, _ = build("hex1")
     c = {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}
-    ests = {e.primitive: e for e in infinity_coordinates(g, c)}
-    # the (1,0) tentacle limit is the root of the boundary-edge polynomial -a/b
-    assert abs(ests[(1, 0)].tentacle_limits[0] - (-2 / 3)) < 1e-2
+    assert dict(points_at_infinity(g, c)) == {
+        (1, 0): Fraction(-2, 3), (-1, 0): Fraction(-2, 3),
+        (0, 1): Fraction(-5, 2), (0, -1): Fraction(-5, 2),
+        (1, -1): Fraction(-3, 5), (-1, 1): Fraction(-3, 5),
+    }
 
 
-def test_infinity_sigma_pairing():
-    # opposite families report equal limits; equivalently the limit of one
-    # fixed monomial along opposite tentacles is reciprocal
-    g, _ = build("hex1")
-    c = {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}
-    ests = {e.primitive: e for e in infinity_coordinates(g, c)}
-    for prim, est in ests.items():
-        opp = ests[(-prim[0], -prim[1])]
-        a = sorted(est.tentacle_limits, key=lambda v: (v.real, v.imag))
-        b = sorted(opp.tentacle_limits, key=lambda v: (v.real, v.imag))
-        for x, y in zip(a, b):
-            assert abs(x - y) < 1e-2 * (1 + abs(x))
-            assert abs(x * (1 / y) - 1) < 2e-2
+def test_infinity_sigma_pairing(rng):
+    # a strand and its reversal (classes h and -h) sit at the same point
+    for name in FIXTURE_NAMES:
+        g, _ = build(name)
+        sys = StrandSystem(g)
+        for positive in (True, False):
+            points = points_at_infinity(g, random_rational_conductances(g, rng, positive=positive))
+            for s in sys.strands:
+                r = sys.reversal_of(s.id)
+                assert points[r] == ((-s.homology[0], -s.homology[1]), points[s.id][1])
 
 
-def test_tentacle_count_matches_polygon(any_network):
-    g, c = any_network
-    p = charpoly(build_laplacian(g, c))
-    ests = infinity_coordinates(g, c)
-    prim_edges = p.newton_polygon().primitive_edges()
-    assert len(ests) == len(prim_edges)
-    for est, (prim, mult) in zip(ests, prim_edges):
-        assert est.family_size == mult
+def test_tentacle_count_matches_polygon(any_network, rng):
+    # each boundary edge (h, n) of Newton(P) has n strands of class h, and its
+    # edge polynomial splits into their linear factors
+    g, _ = any_network
+    for positive in (True, False):
+        c = random_rational_conductances(g, rng, positive=positive)
+        p = charpoly(build_laplacian(g, c))
+        points = points_at_infinity(g, c)
+        for h, n in p.newton_polygon().primitive_edges():
+            assert sum(cls == h for cls, _ in points) == n
+        assert infinity_splits(p, points)

@@ -1,12 +1,20 @@
+import random
+from collections import Counter
+
 import pytest
 
-from network_spectra.fixtures import build
-from network_spectra.graph_core import Edge, TorusGraph
+from network_spectra.errors import NetworkSpectraError
+from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
+from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances
+from network_spectra.laplacian import build_laplacian, charpoly
 from network_spectra.laurent import NewtonPolygon
+from network_spectra.ydelta import MoveProgram, apply_move, delta_to_y, y_to_delta
 from network_spectra.zigzag import (
     StrandSystem,
     fans,
+    infinity_splits,
     minimality_check,
+    points_at_infinity,
     trace_strands,
     zigzag_polygon,
 )
@@ -140,3 +148,63 @@ def test_forward_reverse_selection_agreement(any_network):
         fwd = sorted(F.selections(cone).values())
         rev = sorted(F.reverse_selections(cone).values())
         assert fwd == rev
+
+
+# -- points at infinity -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, m, n", [("sq", 2, 2), ("tri", 2, 2), ("sq", 3, 2), ("tri", 3, 2),
+                                        ("sq", 3, 3), ("tri", 3, 3), ("sq", 4, 3), ("tri", 4, 3)])
+def test_infinity_splits_on_lattices(lattice, kind, m, n):
+    g = lattice(kind, m, n)
+    for seed in (1, 5):
+        c = random_rational_conductances(g, random.Random(seed), positive=False)
+        assert infinity_splits(charpoly(build_laplacian(g, c)), points_at_infinity(g, c))
+
+
+def test_infinity_splits_rejects_a_wrong_conductance(any_network, rng):
+    g, _ = any_network
+    c = random_rational_conductances(g, rng, positive=False)
+    p = charpoly(build_laplacian(g, c))
+    for e in c:
+        assert not infinity_splits(p, points_at_infinity(g, {**c, e: 2 * c[e]}))
+
+
+def _moves(g, c):
+    """Every y2d and d2y that applies, as (graph, conductances) after the move."""
+    for op, n in ((y_to_delta, g.n_vertices), (delta_to_y, g.n_faces)):
+        for target in range(n):
+            try:
+                g2, c2, _ = op(g, c, target)
+            except NetworkSpectraError:
+                continue
+            yield g2, c2
+
+
+def test_points_at_infinity_survive_moves(rng):
+    moved = 0
+    for name in FIXTURE_NAMES:
+        g, _ = build(name)
+        for positive in (True, True, False, False):
+            c = random_rational_conductances(g, rng, positive=positive)
+            before = Counter(points_at_infinity(g, c))
+            for g2, c2 in _moves(g, c):
+                assert Counter(points_at_infinity(g2, c2)) == before, name
+                moved += 1
+    # per draw, 8 moves apply (tri1 2, hex1 2, tri2 4; sq1 and sq2 none), save
+    # where a signed draw makes a star sum vanish
+    assert moved >= 30
+
+
+def test_points_at_infinity_along_cube_orbit(rng):
+    g, _ = build("tri2")
+    program = MoveProgram.load(fixture_path("tri2_cube_program"))
+    c = random_rational_conductances(g, rng)
+    before = Counter(points_at_infinity(g, c))
+    for _ in range(4):
+        g2 = g
+        for move in program.moves:
+            g2, c, _ = apply_move(g2, c, move)
+            assert Counter(points_at_infinity(g2, c)) == before
+        c = {e: c[fe] for fe, e in program.iso_edges.items()}
+        assert Counter(points_at_infinity(g, c)) == before
