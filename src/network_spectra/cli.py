@@ -227,11 +227,8 @@ def cmd_amoeba(args) -> tuple[int, dict]:
             divisor = spectral.spectral_divisor(graph, c, v0=args.v0)
         except NetworkSpectraError as exc:
             divisor_error = f"{type(exc).__name__}: {exc}"
-    # the divisor already swept the ovals (the amoeba holes); sweep only without it
-    if divisor is not None:
-        holes = divisor.hole_count
-    else:
-        holes = len(spectral.real_ovals(p, radius=max(args.radius, 6.0)))
+    # the divisor labels its points by amoeba hole; sweep the real ovals only without it
+    holes = divisor.hole_count if divisor else len(spectral.real_ovals(p, radius=max(args.radius, 6.0)))
     spectral.write_amoeba_svg(svg_path, cloud, divisor.points if divisor else [])
     data = {
         "points": len(cloud.points),
@@ -250,19 +247,9 @@ def cmd_divisor(args) -> tuple[int, dict]:
     from .spectral import spectral_divisor
 
     graph, c, _ = _load_network(args.input)
-    res = spectral_divisor(
-        graph,
-        c,
-        v0=args.v0,
-        grid=args.grid,
-        refine_tol=args.tol,
-        check_count=False,
-    )
+    res = spectral_divisor(graph, c, v0=args.v0)
     data = res.to_json()
-    q_ok = all(
-        pt.q_residual <= args.qtol and pt.q_residual_sigma <= args.qtol
-        for pt in res.points
-    )
+    q_ok = all(max(pt.q_residual, pt.q_residual_sigma) <= args.qtol for pt in res.points)
     s_ok = all(pt.section_residual <= args.tol for pt in res.points)
     data["q_check"] = q_ok
     data["section_check"] = s_ok
@@ -330,10 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--grid", type=int, default=60)
     am.add_argument("--radius", type=float, default=3.0)
     am.add_argument("--v0", type=int, default=0)
-    dv = add("divisor", cmd_divisor, "spectral divisor on the compact ovals")
+    dv = add("divisor", cmd_divisor, "spectral divisor from exact resultants")
     dv.add_argument("--v0", type=int, default=0)
-    dv.add_argument("--grid", type=int, default=360)
-    dv.add_argument("--tol", type=float, default=1e-9)
+    dv.add_argument("--grid", type=int, default=360,
+                    help="ignored: the divisor takes no sweep; accepted so that existing command lines run")
+    dv.add_argument("--tol", type=float, default=1e-9,
+                    help="bound on the section residual |V_v0| of each point's unit kernel vector")
     dv.add_argument("--qtol", type=float, default=1e-6)
     ab = add("abel", cmd_abel, "discrete Abel chart over a window")
     ab.add_argument("--base", type=int, default=0)

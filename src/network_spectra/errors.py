@@ -42,7 +42,3 @@ class DegenerateFiber(NetworkSpectraError):
 
 class CorankTwo(NetworkSpectraError):
     """The Laplacian has a kernel of dimension two or more at a point."""
-
-
-class NoConvergence(NetworkSpectraError):
-    """A float iteration lost the branch it was following."""

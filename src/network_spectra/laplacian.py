@@ -5,6 +5,8 @@ diagonal entry of u and subtracts c * z^d1 w^d2 from the (u, v) entry; a loop
 therefore contributes 2c and -c (chi^d + chi^-d) to its vertex's cell.  The
 determinant is exact: a subset DP for n <= 8 or, above, interpolation on an
 integer grid, both over integer rows, and one division at the end (``_det``).
+The same engines give the resultants, and integer coefficient lists the gcds,
+that the spectral divisor is made of.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -88,13 +91,20 @@ def integer_det(rows: Sequence[Sequence[LaurentPoly2]]) -> tuple[dict[Exponent, 
     won at every n (n = 9: 0.65-3.2 s against 6.5-16 s)."""
     ints, za, wb, scale = [], 0, 0, 1
     for row in rows:
-        t = [term for e in row for term in e.terms()]
-        a, b = min((i for (i, _), _ in t), default=0), min((j for (_, j), _ in t), default=0)
-        d = math.lcm(*(c.denominator for _, c in t))
-        ints.append([{(i - a, j - b): c.numerator * (d // c.denominator) for (i, j), c in e.terms()} for e in row])
+        r, a, b, d = _integer_row(row)
+        ints.append(r)
         za, wb, scale = za + a, wb + b, scale * d
     d = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
     return {(i + za, j + wb): c for (i, j), c in d.items()}, scale
+
+
+def _integer_row(row: Sequence[LaurentPoly2]) -> tuple[list[dict[Exponent, int]], int, int, int]:
+    """(row * s / (z^a w^b), a, b, s): s the lcm of the row's denominators, a and b
+    its least exponents, so the entries are integer polynomials with exponents >= 0."""
+    t = [term for e in row for term in e.terms()]
+    a, b = min((i for (i, _), _ in t), default=0), min((j for (_, j), _ in t), default=0)
+    d = math.lcm(*(c.denominator for _, c in t))
+    return [{(i - a, j - b): c.numerator * (d // c.denominator) for (i, j), c in e.terms()} for e in row], a, b, d
 
 
 def _det_dp(ints: Sequence[Sequence[dict]]) -> dict[Exponent, int]:
@@ -168,15 +178,101 @@ def charpoly(L: LaplacianMatrix, max_vertices: int = SIZE_BOUND) -> LaurentPoly2
     return _det(L.entries)
 
 
+def minor_rows(L: LaplacianMatrix, k: int, v: int) -> list[list[LaurentPoly2]]:
+    """The Laplacian with row k and column v removed."""
+    return [[e for j, e in enumerate(row) if j != v] for i, row in enumerate(L.entries) if i != k]
+
+
 def principal_minor(L: LaplacianMatrix, v0: int) -> LaurentPoly2:
     """det of the Laplacian with the row and column of ``v0`` removed."""
     if L.size < 2:
         raise NetworkSpectraError("the principal minor needs at least two vertices")
     if not 0 <= v0 < L.size:
         raise InputError(f"vertex {v0} is out of range 0..{L.size - 1}")
-    keep = [v for v in range(L.size) if v != v0]
-    rows = [[L.entries[u][v] for v in keep] for u in keep]
-    return _det(rows)
+    return _det(minor_rows(L, v0, v0))
+
+
+# -- univariate integer polynomials: coefficient lists, lowest first ----------
+
+
+def resultant_w(f: LaurentPoly2, g: LaurentPoly2) -> list[int]:
+    """Res_w(f, g) as integer coefficients in z, after f and g are each scaled to
+    integers and shifted to exponents >= 0 (which moves it by a factor c z^k).  The
+    Sylvester matrix takes their formal w-degrees m and n, so its determinant has
+    z-degree <= m * deg_z g + n * deg_z f: ``_bareiss`` at that many integers z,
+    plus one, then ``_interpolate``."""
+    fi, gi = (_integer_row([h])[0][0] for h in (f, g))
+    (m, fz), (n, gz) = ((max(j for _, j in t), max(i for i, _ in t)) for t in (fi, gi))
+    deg = m * gz + n * fz
+    zs = range(-(deg // 2), deg - deg // 2 + 1)
+    vals = []
+    for z in zs:
+        cf, cg = [0] * (m + 1), [0] * (n + 1)
+        for t, col in ((fi, cf), (gi, cg)):
+            for (i, j), c in t.items():
+                col[j] += c * z**i
+        rows = [[0] * r + cf + [0] * (n - 1 - r) for r in range(n)]
+        vals.append(_bareiss(rows + [[0] * r + cg + [0] * (m - 1 - r) for r in range(m)]))
+    return _trim(_interpolate(zs, vals))
+
+
+def _trim(a: Sequence[int]) -> list[int]:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    a = _trim(a)
+    c = math.gcd(*a) * (-1 if a and a[-1] < 0 else 1)
+    return [x // c for x in a]
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd of integer polynomials by the primitive PRS: each pseudo-remainder is
+    divided by its content.  Primitive, with a positive leading coefficient."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = a
+        while len(r) >= len(b):  # lead(b) * r - lead(r) * z^k * b
+            k, q = len(r) - len(b), r[-1]
+            r = _trim([x * b[-1] - (q * b[i - k] if i >= k else 0) for i, x in enumerate(r)])
+        a, b = b, _primitive(r)
+    return a
+
+
+def poly_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b of integer polynomials; raises unless b divides a over the integers."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q[k] * c
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def squarefree_parts(f: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree factorisation: the (part, k) with f = c * prod part^k, each
+    part primitive, squarefree and of degree >= 1, the parts pairwise coprime."""
+    df = _derivative(f)
+    c = poly_gcd(f, df)
+    w, y, out, k = poly_div(f, c), poly_div(df, c), [], 1
+    while len(w) > 1:
+        z = _trim(a - b for a, b in zip_longest(y, _derivative(w), fillvalue=0))
+        g = poly_gcd(w, z)
+        if len(g) > 1:
+            out.append((g, k))
+        w, y, k = poly_div(w, g), poly_div(z, g), k + 1
+    return out
 
 
 @dataclass

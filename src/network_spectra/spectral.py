@@ -1,10 +1,12 @@
-"""Floating-point spectral data: amoebas, kernel vectors and divisor points on
-ovals.  The points at infinity are exact (``zigzag.points_at_infinity``).
+"""Spectral data: amoebas, kernel vectors, real ovals and the divisor.  The
+points at infinity are exact (``zigzag.points_at_infinity``).
 
-Everything here consumes the exact characteristic polynomial but computes in
-floating point; the tolerances a caller sets are arguments with the defaults
-used by the acceptance checks (root residual 1e-12 relative, divisor
-refinement 1e-9), the rest are the module constants below.
+The divisor is exact up to its last step: integer resultants and gcds give two
+polynomials whose real roots are the points' coordinates, and only those roots
+are floats.  Everything else consumes the exact characteristic polynomial but
+computes in floating point; the tolerances a caller sets are arguments with the
+defaults used by the acceptance checks (root residual 1e-12 relative), the rest
+are the module constants below.
 
 No Fraction is converted per evaluation: fibers read the float coefficient
 matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
@@ -17,23 +19,27 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CorankTwo, DegenerateFiber, NetworkSpectraError, NoConvergence
+from .errors import CorankTwo, DegenerateFiber, NetworkSpectraError
 from .graph_core import TorusGraph
-from .laplacian import LaplacianMatrix, build_laplacian, laplacian_matrix_at, principal_minor
+from .laplacian import (
+    LaplacianMatrix, build_laplacian, integer_det, laplacian_matrix_at, minor_rows, poly_gcd,
+    principal_minor, resultant_w, squarefree_parts,
+)
 from .laurent import FloatView, LaurentPoly2
 
 ROOT_TOL = 1e-12
-REFINE_TOL = 1e-9
 POLISH_ITERS = 50
 CORANK_TOL = 1e-6        # relative size of the second-smallest singular value at corank two
+BALANCE_SWEEPS = 4       # Osborne sweeps that balance the Laplacian before its SVD
+REAL_TOL = Fraction(1, 10**7)  # a root is real within this, relative; the divisor certifies at r (1 -+ it)
 NODE_EXCLUSION = 1e-3    # real points this close to the node (1, 1) are dropped
 OVAL_MARGIN = 0.4        # a cluster this close to the sweep edge in log scale is unbounded
-BISECT_ITERS = 80
-DEDUPE_TOL = 1e-5        # divisor points closer than this (relative) are one point
 DEFECT_BINS = 40         # occupancy grid of the symmetry defect, per axis
 SVG_SIZE = 600
 
@@ -54,10 +60,7 @@ def fiber_roots(p: LaurentPoly2 | FloatView, z: complex, tol: float = ROOT_TOL) 
         raise DegenerateFiber("z = 0 is outside (C*)^2")
     f = p.floats()
     a, s = f.fiber(z)
-    top = np.abs(a).max()
-    if top == 0:
-        raise DegenerateFiber(f"p(z, .) vanishes identically at z = {z}")
-    if abs(a[-1]) < 1e-13 * top or abs(a[0]) < 1e-13 * top:
+    if abs(a[-1]) <= 1e-13 * s[-1] or abs(a[0]) <= 1e-13 * s[0]:
         raise DegenerateFiber(f"extreme w-coefficient vanishes at z = {z} (tentacle asymptote)")
     w = np.roots(a[::-1]).astype(complex)
     e = np.arange(f.jmin, f.jmin + len(a))
@@ -147,23 +150,28 @@ def _occupancy(points, radius: float, bins: int):
 # -- kernel vectors --------------------------------------------------------------
 
 
-def null_vectors(
-    L: LaplacianMatrix,
-    z: complex,
-    w: complex,
-):
-    """(U, V, sigma_min): left/right kernel vectors at a near-curve point.
+def null_vectors(L: LaplacianMatrix, z: complex, w: complex):
+    """(U, V, sigma_min): unit left/right kernel vectors at a near-curve point.
 
-    U and V are the singular vectors of the smallest singular value, so
-    U* Delta ~ 0 and Delta V ~ 0.  Raises CorankTwo when the two smallest
-    singular values are both tiny (corank >= 2, e.g. a very degenerate point).
+    The SVD runs on D^-1 Delta D, balanced by Osborne sweeps (equal off-diagonal
+    row and column sums), so far from |z| = |w| = 1 a corank-one point keeps a
+    clear singular-value gap.  U and V are D^-1 and D times its singular vectors
+    of the smallest singular value, so U Delta ~ 0 and Delta V ~ 0.  Raises
+    CorankTwo when the two smallest singular values are both tiny (corank >= 2).
     """
     m = laplacian_matrix_at(L, z, w)
-    u, s, vh = np.linalg.svd(m)
+    a, d = np.abs(m), np.ones(len(m))
+    np.fill_diagonal(a, 0)
+    for _ in range(BALANCE_SWEEPS):
+        for i, (row, col) in enumerate(zip(a, a.T)):
+            if row @ d > 0 and col @ (1 / d) > 0:
+                d[i] = math.sqrt((row @ d) / (col @ (1 / d)))
+    u, s, vh = np.linalg.svd(m * d / d[:, None])
     scale = s[0] if s[0] > 0 else 1.0
     if len(s) >= 2 and s[-2] <= CORANK_TOL * scale:
         raise CorankTwo(f"two singular values below {CORANK_TOL} * scale at ({z}, {w})")
-    return u[:, -1].conj(), vh[-1, :].conj(), float(s[-1])
+    U, V = u[:, -1].conj() / d, vh[-1, :].conj() * d
+    return U / np.linalg.norm(U), V / np.linalg.norm(V), float(s[-1])
 
 
 # -- the spectral divisor -----------------------------------------------------------
@@ -197,15 +205,18 @@ class DivisorPoint:
 class DivisorResult:
     genus: int
     points: list[DivisorPoint]
-    hole_count: int
-    sweep_points: int
     node: dict
-    corank2_skipped: int = 0   # oval samples and refined points with corank >= 2, skipped
-    sweep_widenings: int = 0   # times the oval sweep was widened and redone (0-2)
+    z_polynomial: list[int]   # Gz: the points' z as its roots, integer coefficients lowest first
+    w_polynomial: list[int]   # Gw: their w
+    nodes: list[dict]         # candidates where the kernel has dimension two: nodes of C
+
+    @property
+    def hole_count(self) -> int:
+        return len({p.hole_index for p in self.points} - {-1})
 
     @property
     def count_matches_genus(self) -> bool:
-        return len(self.points) == self.genus
+        return len(self.points) == self.genus == len(self.z_polynomial) - 1
 
     def to_json(self) -> dict:
         return {
@@ -213,38 +224,24 @@ class DivisorResult:
             "hole_count": self.hole_count,
             "points": [p.to_json() for p in self.points],
             "count_matches_genus": self.count_matches_genus,
-            "sweep_points": self.sweep_points,
+            "z_polynomial": [str(c) for c in self.z_polynomial],
+            "w_polynomial": [str(c) for c in self.w_polynomial],
+            "nodes": self.nodes,
             "node": self.node,
-            "corank2_skipped": self.corank2_skipped,
-            "sweep_widenings": self.sweep_widenings,
         }
 
 
-def _real_curve_points(
-    p: LaurentPoly2, radius: float, grid: int
-) -> list[tuple[float, float]]:
+def _real_curve_points(p: LaurentPoly2, radius: float, grid: int) -> list[tuple[float, float]]:
     """Real points of the curve from sign-quadrant log sweeps in z and w."""
     pts = []
-    ts = np.linspace(-radius, radius, grid)
-    for t in ts:
-        for sz in (1.0, -1.0):
-            z = sz * math.exp(t)
-            try:
-                ws = fiber_roots(p, z)
-            except DegenerateFiber:
-                continue
-            for w in ws:
-                if abs(w.imag) <= 1e-8 * max(1.0, abs(w)) and w.real != 0:
-                    pts.append((z, w.real))
-        for sw in (1.0, -1.0):
-            w = sw * math.exp(t)
-            try:
-                zs = fiber_roots_in_z(p, w)
-            except DegenerateFiber:
-                continue
-            for z in zs:
-                if abs(z.imag) <= 1e-8 * max(1.0, abs(z)) and z.real != 0:
-                    pts.append((z.real, w))
+    for t in np.linspace(-radius, radius, grid):
+        for roots, flip in ((fiber_roots, False), (fiber_roots_in_z, True)):
+            for x in (math.exp(t), -math.exp(t)):
+                try:
+                    rs = [r.real for r in roots(p, x) if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) and r.real != 0]
+                except DegenerateFiber:
+                    continue
+                pts += [(r, x) if flip else (x, r) for r in rs]
     return [
         (z, w)
         for z, w in pts
@@ -261,7 +258,6 @@ class RealOval:
     bundled fixtures.
     """
 
-    points: list[tuple[float, float]]   # (z, w), one sign quadrant
     centroid_log: tuple[float, float]
 
 
@@ -276,14 +272,9 @@ def real_ovals(
     is below a few sweep steps; clusters reaching the sweep boundary are
     unbounded branches, the rest are compact ovals.
     """
-    pts = _real_curve_points(p, radius, grid)
-    if not pts:
-        return []
     link = max(8.0 * radius / grid, 0.08)
-    keyed = [
-        (math.copysign(1, z), math.copysign(1, w), math.log(abs(z)), math.log(abs(w)), z, w)
-        for z, w in pts
-    ]
+    keyed = [(math.copysign(1, z), math.copysign(1, w), math.log(abs(z)), math.log(abs(w)))
+             for z, w in _real_curve_points(p, radius, grid)]
     n = len(keyed)
     parent = list(range(n))
 
@@ -293,19 +284,13 @@ def real_ovals(
             a = parent[a]
         return a
 
-    order = sorted(range(n), key=lambda k: keyed[k][:4])
-    for ii in range(n):
-        i = order[ii]
-        for jj in range(ii + 1, n):
-            j = order[jj]
-            if keyed[i][:2] != keyed[j][:2]:
-                break
-            if keyed[j][2] - keyed[i][2] > link:
+    order = sorted(range(n), key=lambda k: keyed[k])
+    for ii, i in enumerate(order):
+        for j in order[ii + 1:]:
+            if keyed[i][:2] != keyed[j][:2] or keyed[j][2] - keyed[i][2] > link:
                 break
             if abs(keyed[j][3] - keyed[i][3]) <= link:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
+                parent[find(i)] = find(j)
     comps: dict[int, list[int]] = {}
     for k in range(n):
         comps.setdefault(find(k), []).append(k)
@@ -316,49 +301,72 @@ def real_ovals(
         logs = [(keyed[k][2], keyed[k][3]) for k in members]
         if any(max(abs(x), abs(y)) > radius - OVAL_MARGIN for x, y in logs):
             continue  # reaches the sweep boundary: an unbounded branch
-        cx = sum(x for x, _ in logs) / len(logs)
-        cy = sum(y for _, y in logs) / len(logs)
-        ovals.append(RealOval([(keyed[k][4], keyed[k][5]) for k in members], (cx, cy)))
+        ovals.append(RealOval(tuple(sum(v) / len(logs) for v in zip(*logs))))
     ovals.sort(key=lambda o: o.centroid_log)
     return ovals
 
 
-def _section_value(L: LaplacianMatrix, z: float, w: float, v0: int) -> tuple[float, np.ndarray]:
-    _, V, _ = null_vectors(L, z, w)
-    vec = np.real(V)
-    n = np.linalg.norm(vec)
-    if n == 0:
-        raise NoConvergence(f"zero kernel vector at ({z}, {w})")
-    vec = vec / n
-    return float(vec[v0]), vec
+def _divisor_polynomial(p: LaurentPoly2, q: LaurentPoly2, c: LaurentPoly2) -> list[int]:
+    """gcd(Res_w(p, q), Res_w(p, c)) without its z-power factor, lowest first."""
+    g = poly_gcd(resultant_w(p, q), resultant_w(p, c))
+    return g[next((i for i, x in enumerate(g) if x), 0):]
 
 
-def _track_root(p: LaurentPoly2 | FloatView, z: float, w_guess: float) -> float:
-    """The real fiber root over z nearest to the guess."""
-    ws = fiber_roots(p, z)
-    real = [w.real for w in ws if abs(w.imag) <= 1e-7 * max(1.0, abs(w))]
-    if not real:
-        raise NoConvergence(f"no real branch above z = {z}")
-    return min(real, key=lambda w: abs(w - w_guess))
+def _real_roots(f: list[int]) -> list[tuple[float, int]]:
+    """(root, multiplicity) of the real roots of the integer polynomial f.
+
+    Roots come from ``np.roots`` of each squarefree part, scaled to floats; a root
+    r is kept only if the part changes sign exactly at the rationals
+    r (1 -+ REAL_TOL).  An uncertified root is left out."""
+    out = []
+    for part, k in squarefree_parts(f):
+        top = max(map(abs, part))
+        for r in np.roots([c / top for c in reversed(part)]):
+            if abs(r.imag) > REAL_TOL * abs(r):
+                continue
+            ends = [reduce(lambda v, c: v * e + c, reversed(part), 0) > 0
+                    for e in (Fraction(r.real) * (1 - REAL_TOL), Fraction(r.real) * (1 + REAL_TOL))]
+            if ends[0] != ends[1]:
+                out.append((float(r.real), k))
+    return out
 
 
-def spectral_divisor(
-    graph: TorusGraph,
-    conductances: Mapping[int, object],
-    v0: int = 0,
-    radius: float = 6.0,
-    grid: int = 360,
-    refine_tol: float = REFINE_TOL,
-    check_count: bool = False,
-) -> DivisorResult:
-    """Zeros of the v0 kernel-vector component along the compact ovals.
+def _hole(p: LaurentPoly2, z: float, w: float, orders: list[tuple[int, int]]) -> int:
+    """Index in ``orders`` of the amoeba gap that the real point (z, w) bounds, or -1.
 
-    Positive real conductances only.  Walks each compact oval (= amoeba hole
-    boundary), tracks sign changes of the continuously normalized kernel
-    component, and refines each change by bisection along the curve.  Samples
-    where the kernel has dimension two are skipped and counted.  Also
-    evaluates the v0 principal minor at each point and at its (1/z, 1/w)
-    image, whose vanishing is the two-sided divisor check.
+    The sorted log|w| of the real roots over +-|z| alternate piece, gap, piece; the
+    gap at the point's end of its piece has midpoint y, and its order (nu1, nu2)
+    counts roots: nu2 = jmin + #{|w'| < e^y} over |z|, nu1 = imin + #{|z'| < |z|}
+    over e^y."""
+    x = abs(z)
+    try:
+        ys = sorted(math.log(abs(r.real)) for s in (x, -x) for r in fiber_roots(p, s)
+                    if abs(r.imag) <= REAL_TOL * abs(r))
+        i = min(range(len(ys)), key=lambda k: abs(ys[k] - math.log(abs(w))))
+        lo = i - 1 + i % 2
+        if not 0 <= lo < len(ys) - 1:
+            return -1
+        y = (ys[lo] + ys[lo + 1]) / 2
+        f = p.floats()
+        nu = (f.imin + sum(abs(r) < x for r in fiber_roots_in_z(p, math.exp(y))),
+              f.jmin + sum(abs(r) < math.exp(y) for r in fiber_roots(p, x)))
+    except DegenerateFiber:
+        return -1
+    return orders.index(nu) if nu in orders else -1
+
+
+def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: int = 0) -> DivisorResult:
+    """The points of the curve C where the v0 kernel component vanishes, exactly.
+
+    Positive real conductances only.  By adjugate rank one, adj L = V U^T on C, so
+    V_v0 = 0 exactly where P and the cofactors C_{k,v0} (row k and column v0
+    deleted) vanish; C_{v0,v0} is the principal minor Q.  So the points' z are the
+    roots of Gz = gcd(Res_w(P, Q), Res_w(P, C_{k,v0})) and their w those of Gw, the
+    same with z and w swapped (the transposed cofactor C_{v0,k} would give sigma D).
+    Each certified real root z of Gz takes as many real roots w of Gw as its
+    multiplicity, those where relative |P| + |C_{k,v0}| is least.  A candidate where
+    the kernel has dimension two is a node of C, listed apart.  Also evaluates Q
+    at each point and at its (1/z, 1/w) image, the two-sided divisor check.
     """
     if graph.n_vertices < 2:
         raise NetworkSpectraError("the kernel section needs at least two vertices")
@@ -367,116 +375,26 @@ def spectral_divisor(
     from .laplacian import charpoly, node_check
 
     L = build_laplacian(graph, {k: v for k, v in conductances.items()})
-    p = charpoly(L)
-    qf = principal_minor(L, v0).floats()
-    genus = p.newton_polygon().interior_lattice_count() - 1
-    ovals = real_ovals(p, radius=radius, grid=grid)
-    # ovals larger than the sweep window get truncated; widen and retry
-    widenings = 0
-    while len(ovals) < genus and widenings < 2:
-        widenings += 1
-        radius *= 1.6
-        grid = int(grid * 1.6)
-        ovals = real_ovals(p, radius=radius, grid=grid)
-
-    found: list[DivisorPoint] = []
-    corank2 = 0
-    for k, oval in enumerate(ovals):
-        pts = sorted(
-            oval.points,
-            key=lambda zw: math.atan2(
-                math.log(abs(zw[1])) - oval.centroid_log[1],
-                math.log(abs(zw[0])) - oval.centroid_log[0],
-            ),
-        )
-        # section values around the loop and back; corank-2 samples have no kernel line
-        samples = []
-        for z, w in pts + pts[:1]:
+    p, q = charpoly(L), principal_minor(L, v0)
+    c = LaurentPoly2(integer_det(minor_rows(L, (v0 + 1) % L.size, v0))[0])
+    gz = _divisor_polynomial(p, q, c)
+    gw = _divisor_polynomial(*(LaurentPoly2({(j, i): x for (i, j), x in f.terms()}) for f in (p, q, c)))
+    ws = [w for w, k in _real_roots(gw) for _ in range(k)]
+    polygon = p.newton_polygon()
+    orders = [o for o in polygon.interior_lattice_points() if o != (0, 0)]  # (0, 0): the node's
+    pf, qf, cf = p.floats(), q.floats(), c.floats()
+    points, nodes = [], []
+    for z, k in _real_roots(gz):
+        for w in sorted(ws, key=lambda w: sum(abs(v) / s for v, s in (pf.at(z, w), cf.at(z, w))))[:k]:
             try:
-                samples.append(((z, w), *_section_value(L, z, w, v0)))
+                _, V, _ = null_vectors(L, z, w)
             except CorankTwo:
-                corank2 += 1
-        if len(samples) < 2:
-            continue
-        if samples[-1][0] != samples[0][0]:
-            samples.append(samples[0])  # close the loop on the first usable sample
-        vals: list[float] = []  # continuously aligned
-        prev_vec = None
-        for _, s, vec in samples:
-            if prev_vec is not None and float(np.dot(vec, prev_vec)) < 0:
-                vec, s = -vec, -s
-            prev_vec = vec
-            vals.append(s)
-        for i in range(len(samples) - 1):
-            a, b = vals[i], vals[i + 1]
-            if a == 0.0 or a * b >= 0:
-                continue
-            z, w = _bisect_section(L, p, samples[i][0], samples[i + 1][0], v0, refine_tol)
-            try:
-                s, _ = _section_value(L, z, w, v0)
-            except CorankTwo:
-                corank2 += 1
+                nodes.append({"z": z, "w": w})
                 continue
             # relative |Q| at the point and at its (1/z, 1/w) image
-            qres = [abs(v) / max(scale, 1e-300) for v, scale in (qf.at(z, w), qf.at(1 / z, 1 / w))]
-            found.append(DivisorPoint(z, w, abs(s), k, *qres))
-    found = _dedupe_points(found)
-    node = node_check(p).to_json()
-    sweep_points = sum(len(o.points) for o in ovals)
-    result = DivisorResult(genus, found, len(ovals), sweep_points, node, corank2, widenings)
-    if check_count and not result.count_matches_genus:
-        raise NetworkSpectraError(
-            f"found {len(found)} divisor points, expected g = {genus}; "
-            f"ovals = {len(ovals)}"
-        )
-    return result
-
-
-def _bisect_section(L, p, p1, p2, v0, tol):
-    """Bisect the kernel-component sign change along the curve between p1, p2;
-    the last midpoint reached, or p1 if no midpoint could be evaluated."""
-    (z1, w1), (z2, w2) = p1, p2
-    # drive the coordinate that moves more in log scale; w drives the transpose
-    by_z = abs(math.log(abs(z2)) - math.log(abs(z1))) >= abs(math.log(abs(w2)) - math.log(abs(w1)))
-    (a1, b1), (a2, b2), f = (p1, p2, p) if by_z else ((w1, z1), (w2, z2), p.floats().transposed())
-
-    def at(t: float):
-        a = math.copysign(1.0, a1) * math.exp((1 - t) * math.log(abs(a1)) + t * math.log(abs(a2)))
-        b = _track_root(f, a, (1 - t) * b1 + t * b2)
-        return (a, b) if by_z else (b, a)
-
-    lo, hi = 0.0, 1.0
-    best = p1
-    try:
-        s_lo, vec_prev = _section_value(L, z1, w1, v0)
-        for _ in range(BISECT_ITERS):
-            mid = (lo + hi) / 2
-            z, w = at(mid)
-            s, vec = _section_value(L, z, w, v0)
-            if float(np.dot(vec, vec_prev)) < 0:
-                s, vec = -s, -vec
-            vec_prev = vec
-            best = (z, w)
-            if abs(s) <= tol:
-                break
-            if (s < 0) == (s_lo < 0):
-                lo, s_lo = mid, s
-            else:
-                hi = mid
-    except (NoConvergence, CorankTwo, DegenerateFiber):
-        pass  # keep the last point reached
-    return best
-
-
-def _dedupe_points(points: list[DivisorPoint]) -> list[DivisorPoint]:
-    out: list[DivisorPoint] = []
-    for p in points:
-        if all(
-            math.hypot(p.z - q.z, p.w - q.w) > DEDUPE_TOL * (1 + abs(p.z) + abs(p.w))
-            for q in out
-        ):
-            out.append(p)
-    return out
+            qres = [abs(v) / max(s, 1e-300) for v, s in (qf.at(z, w), qf.at(1 / z, 1 / w))]
+            points.append(DivisorPoint(z, w, float(abs(V[v0])), _hole(p, z, w, orders), *qres))
+    return DivisorResult(polygon.interior_lattice_count() - 1, points, node_check(p).to_json(), gz, gw, nodes)
 
 
 # -- output writers -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
 Every tolerance is pinned here: exact (zero-tolerance) equality for the
-algebraic identities, 1e-9 for divisor refinement residuals, 1e-6 relative for
+algebraic identities, 1e-9 for the divisor's section residuals, 1e-6 relative for
 the minor's vanishing at divisor points.  Randomized criteria use fixed seeds
 and print them.
 """
@@ -234,7 +234,7 @@ def test_criterion_8_spectral_divisor():
     from network_spectra.spectral import spectral_divisor
 
     g, c = tri2_generic()
-    res = spectral_divisor(g, c, v0=0, refine_tol=1e-9, check_count=True)
+    res = spectral_divisor(g, c, v0=0)
     assert res.genus == 2
     assert res.hole_count == res.genus, "one amoeba hole per divisor point"
     assert len(res.points) == res.genus

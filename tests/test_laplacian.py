@@ -15,8 +15,13 @@ from network_spectra.laplacian import (
     _det,
     build_laplacian,
     charpoly,
+    minor_rows,
     node_check,
+    poly_div,
+    poly_gcd,
     principal_minor,
+    resultant_w,
+    squarefree_parts,
 )
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.zigzag import zigzag_polygon
@@ -162,11 +167,6 @@ def test_polygon_matches_zigzag(any_network, rng):
 
 # -- the two determinant engines ----------------------------------------------------
 
-def _minor_rows(L, v0=0):
-    keep = [v for v in range(L.size) if v != v0]
-    return [[L.entry(u, v) for v in keep] for u in keep]
-
-
 _coeff = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 _entry = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _coeff, max_size=3)
 
@@ -203,7 +203,7 @@ def test_grid_engine_matches_dp_on_lattices(lattice, kind, m, n):
     g = lattice(kind, m, n)
     L = build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=False))
     assert L.size > 8  # above the size switch
-    for rows in (L.entries, _minor_rows(L)):
+    for rows in (L.entries, minor_rows(L, 0, 0)):
         assert _det_by("_det_grid", rows) == _det_by("_det_dp", rows)
 
 
@@ -291,3 +291,52 @@ def test_det_logs_engine(caplog, lattice):
         charpoly(L)
         principal_minor(L, 0)
     assert [r.getMessage() for r in caplog.records] == ["det: grid, V=9, grid 7x7", "det: subset DP, V=8"]
+
+
+# -- the exact identities and helpers the divisor rests on
+
+
+def _jacobi_cases(lattice):
+    yield build("hex1")[0]
+    yield lattice("sq", 2, 2)
+    yield lattice("tri", 2, 2)
+
+
+def test_desnanot_jacobi(lattice):
+    # C_ij C_kl - C_il C_kj = P * M_{ik,jl} for i < k and j < l, C_ij the minor
+    # without row i and column j, M_{ik,jl} the one without rows i, k and columns j, l
+    for g in _jacobi_cases(lattice):
+        L = build_laplacian(g, random_rational_conductances(g, random.Random(5)))
+        n, p = L.size, charpoly(L)
+        C = [[_det(minor_rows(L, i, j)) for j in range(n)] for i in range(n)]
+        for (i, k), (j, l) in itertools.product(itertools.combinations(range(n), 2), repeat=2):
+            rows = [[e for v, e in enumerate(row) if v not in (j, l)] for u, row in enumerate(L.entries) if u not in (i, k)]
+            assert C[i][j] * C[k][l] - C[i][l] * C[k][j] == p * _det(rows), (i, k, j, l)
+
+
+def test_resultant_w():
+    # Res_w(w - z, w^2 - 2) = +-(z^2 - 2) and Res_w(z w - 1, w - z) = +-(z^2 - 1); the
+    # Laurent 3/z + 1/w + w is shifted to z w^2 + 3 w + z first, which is z^3 + 4z at w = z
+    w_minus_z = LaurentPoly2({(0, 1): 1, (1, 0): -1})
+    assert resultant_w(w_minus_z, LaurentPoly2({(0, 2): 1, (0, 0): -2})) in ([-2, 0, 1], [2, 0, -1])
+    assert resultant_w(LaurentPoly2({(1, 1): 1, (0, 0): -1}), w_minus_z) in ([-1, 0, 1], [1, 0, -1])
+    assert resultant_w(LaurentPoly2({(0, 1): 1, (0, -1): 1, (-1, 0): 3}), w_minus_z) in ([0, 4, 0, 1], [0, -4, 0, -1])
+
+
+def test_poly_gcd_and_division():
+    a = [-2, 1, 1]  # (z - 1)(z + 2)
+    b = [3, -2, -1]  # -(z - 1)(z + 3)
+    assert poly_gcd([6 * x for x in a], b) == [-1, 1]
+    assert poly_gcd(a, [7]) == [1]
+    assert poly_div([-2, 1, 1], [-1, 1]) == [2, 1]
+    with pytest.raises(ArithmeticError):
+        poly_div([1, 0, 1], [-1, 1])
+
+
+def test_squarefree_parts():
+    # 3 (z - 1)^2 (z + 2) (2z + 1)^3
+    f = [3]
+    for factor in [[-1, 1]] * 2 + [[2, 1]] + [[1, 2]] * 3:
+        f = [sum(f[i] * factor[k - i] for i in range(len(f)) if 0 <= k - i < 2) for k in range(len(f) + 1)]
+    assert sorted(squarefree_parts(f), key=lambda pk: pk[1]) == [([2, 1], 1), ([-1, 1], 2), ([1, 2], 3)]
+    assert squarefree_parts([5]) == []

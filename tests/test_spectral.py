@@ -9,7 +9,6 @@ import pytest
 
 from network_spectra.errors import CorankTwo, DegenerateFiber, NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, tri2_generic
-from network_spectra import spectral
 from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
 from network_spectra.laurent import LaurentPoly2
@@ -80,6 +79,16 @@ def test_degenerate_fiber_at_asymptote():
     with pytest.raises(DegenerateFiber):
         fiber_roots_in_z(LaurentPoly2({(1, 1): 1, (1, 0): -2, (0, 0): 1}), 2.0)
     assert len(fiber_roots(p, 2.5)) == 2
+
+
+def test_far_fiber_is_not_degenerate():
+    # w + z^2 + 1/w at z = 1e7: the extreme w-coefficients are 1 against a middle
+    # one of 1e14, but each is exact against its own yardstick
+    p = LaurentPoly2({(0, 1): 1, (2, 0): 1, (0, -1): 1})
+    roots = sorted(fiber_roots(p, 1e7), key=abs)
+    assert roots == pytest.approx([-1e-14, -1e14], rel=1e-12)
+    for w in roots:
+        assert abs(p.eval(1e7, w)) <= 1e-12 * p.scale_at(1e7, w)
 
 
 def _tri2_poly():
@@ -251,7 +260,8 @@ def test_adjugate_rank_one_on_samples():
 
 def test_divisor_tri2():
     g, c = tri2_generic()
-    res = spectral_divisor(g, c, v0=0, check_count=True)
+    res = spectral_divisor(g, c, v0=0)
+    assert res.count_matches_genus
     assert res.genus == 2
     assert res.hole_count == 2
     assert len(res.points) == 2
@@ -262,42 +272,48 @@ def test_divisor_tri2():
         assert p.q_residual_sigma <= 1e-6
 
 
-def test_divisor_reports_skips_and_widenings():
-    g, c = tri2_generic()
-    data = spectral_divisor(g, c, v0=0).to_json()
-    assert data["corank2_skipped"] == 0
-    assert data["sweep_widenings"] == 0
-    # a window too small for the ovals is widened (up to twice)
-    narrow = spectral_divisor(g, c, v0=0, radius=0.5, grid=60)
-    assert 1 <= narrow.sweep_widenings <= 2
+# (kind, m, n, seed): positive draws where the divisor has all g points, g = 4 to 12
+DIVISOR_RUNGS = [("sq", 2, 2, 1), ("tri", 2, 2, 1), ("sq", 3, 2, 1), ("sq", 3, 2, 2), ("tri", 3, 2, 1), ("sq", 3, 3, 7)]
 
 
-def test_divisor_skips_corank_two_samples(monkeypatch):
-    g, c = tri2_generic()
-    calls = 0
-    real = spectral.null_vectors
-
-    def flaky(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls % 7 == 0:
-            raise CorankTwo("injected")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "null_vectors", flaky)
-    res = spectral_divisor(g, c, v0=0)
-    assert len(res.points) == res.genus == 2
-    assert res.corank2_skipped > 0
+@pytest.mark.parametrize("kind, m, n, seed", DIVISOR_RUNGS)
+def test_divisor_on_lattices(lattice, kind, m, n, seed):
+    g = lattice(kind, m, n)
+    res = spectral_divisor(g, random_rational_conductances(g, random.Random(seed)))
+    assert len(res.z_polynomial) - 1 == len(res.w_polynomial) - 1 == res.genus
+    assert res.count_matches_genus and not res.nodes
+    assert sorted(p.hole_index for p in res.points) == list(range(res.genus))
+    for p in res.points:
+        assert max(p.section_residual, p.q_residual, p.q_residual_sigma) <= 1e-6, p
 
 
-def test_divisor_survives_degenerate_fiber_in_bisection(monkeypatch):
-    def degenerate(*args):
-        raise DegenerateFiber("injected")
+def test_divisor_double_z_root():
+    # sq2 at this draw: Gz = (8z + 9)^2, so both points sit over z = -9/8
+    g, _ = build("sq2")
+    res = spectral_divisor(g, random_rational_conductances(g, random.Random(3)))
+    assert res.z_polynomial == [81, 144, 64]
+    assert res.w_polynomial == [9, -86, 9]
+    assert [p.z for p in res.points] == [-9 / 8, -9 / 8]
+    assert sorted(p.w for p in res.points) == pytest.approx([(43 - math.sqrt(1768)) / 9, (43 + math.sqrt(1768)) / 9])
+    assert res.count_matches_genus and res.hole_count == 2
 
-    monkeypatch.setattr(spectral, "_track_root", degenerate)
-    g, c = tri2_generic()
-    res = spectral_divisor(g, c, v0=0)  # each bisection keeps its bracket start
-    assert res.genus == res.hole_count == 2
+
+def test_null_vectors_balance_far_points(lattice):
+    # the points of tri3x2 @1 at |z| ~ 5e5 and 1e-6: unbalanced, the second-smallest
+    # singular value is below CORANK_TOL of the largest there
+    g = lattice("tri", 3, 2)
+    c = random_rational_conductances(g, random.Random(1))
+    L = build_laplacian(g, c)
+    far = [p for p in spectral_divisor(g, c).points if not 1e-5 < abs(p.z) < 1e5]
+    assert len(far) == 2
+    for p in far:
+        m = laplacian_matrix_at(L, p.z, p.w)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert s[-2] < 1e-6 * s[0]
+        U, V, _ = null_vectors(L, p.z, p.w)
+        assert np.linalg.norm(m @ V) <= 1e-8 * np.abs(m).max()
+        assert np.linalg.norm(U @ m) <= 1e-8 * np.abs(m).max()
+        assert abs(V[0]) <= 1e-9
 
 
 def test_divisor_needs_two_vertices():
@@ -314,10 +330,14 @@ def test_divisor_needs_positive_conductances():
 
 
 def test_divisor_wrong_count_at_degenerate_point():
-    # unit conductances sit at the degenerate point with contracted ovals
+    # unit conductances sit at the degenerate point with contracted ovals: Gz has
+    # degree 4 for g = 2, and two of its four candidates are nodes of the curve
     g, c = build("tri2")
-    with pytest.raises(NetworkSpectraError, match=r"^found \d+ divisor points, expected g = 2; ovals = \d+$"):
-        spectral_divisor(g, c, check_count=True)
+    res = spectral_divisor(g, c)
+    assert res.genus == 2 and len(res.z_polynomial) == 5
+    assert not res.count_matches_genus
+    assert len(res.nodes) == 2 and len(res.points) == 2
+    assert res.to_json()["nodes"] == res.nodes
 
 
 def test_infinity_sq1_directions():
