@@ -76,7 +76,7 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 def cmd_charpoly(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    p = charpoly(L := build_laplacian(graph, c), max_vertices=args.bound)
+    p = charpoly(L := build_laplacian(graph, c))
     node = node_check(p)
     data = {
         "charpoly": _poly_json(p),
@@ -107,7 +107,7 @@ def cmd_zigzag(args) -> tuple[int, dict]:
 
 def cmd_newton(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    p = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
+    p = charpoly(build_laplacian(graph, c))
     n_char = p.newton_polygon()
     n_zz = zigzag_polygon(graph)
     n_pairs = dual_pair_hull(graph, max_edges=args.bound)
@@ -134,15 +134,13 @@ def cmd_ocrsf_check(args) -> tuple[int, dict]:
         raise InputError(f"the draw count {args.draws} is negative")
     graph, c, _ = _load_network(args.input)
     rng = random.Random(args.seed)
-    det = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
+    det = charpoly(build_laplacian(graph, c))
     forests = enumerate_ocrsfs(graph, max_edges=args.bound)
     oracle = pfnlap_sum(forests, c)
     draws_ok = True
     for _ in range(args.draws):
         cr = random_rational_conductances(graph, rng, positive=False)
-        draws_ok &= pfnlap_sum(forests, cr) == charpoly(
-            build_laplacian(graph, cr), max_vertices=args.bound
-        )
+        draws_ok &= pfnlap_sum(forests, cr) == charpoly(build_laplacian(graph, cr))
     counts, expected = boundary_point_counts(graph, forests)
     data = {
         "oracle_equality": det == oracle,
@@ -214,7 +212,7 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     graph, c, stem = _load_network(args.input)
     if not 0 <= args.v0 < graph.n_vertices:
         raise InputError(f"vertex {args.v0} is out of range 0..{graph.n_vertices - 1}")
-    p = charpoly(build_laplacian(graph, c), max_vertices=args.bound)
+    p = charpoly(build_laplacian(graph, c))
     cloud = spectral.amoeba(p, grid=args.grid, radius=args.radius)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -227,8 +225,8 @@ def cmd_amoeba(args) -> tuple[int, dict]:
             divisor = spectral.spectral_divisor(graph, c, v0=args.v0)
         except NetworkSpectraError as exc:
             divisor_error = f"{type(exc).__name__}: {exc}"
-    # the divisor labels its points by amoeba hole; sweep the real ovals only without it
-    holes = divisor.hole_count if divisor else len(spectral.real_ovals(p, radius=max(args.radius, 6.0)))
+    # the divisor labels its points by amoeba hole; order the real curve's gaps only without it
+    holes = divisor.hole_count if divisor else len(spectral.real_ovals(p))
     spectral.write_amoeba_svg(svg_path, cloud, divisor.points if divisor else [])
     data = {
         "points": len(cloud.points),
@@ -278,33 +276,29 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="reports", help="output directory for reports")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument(
-        "--bound",
-        type=int,
-        default=SIZE_BOUND,
-        help="size bound of the exact routines: vertices for the determinant, "
-        "edges for forest enumeration, white vertices for dimers",
-    )
     ap = argparse.ArgumentParser(
         prog="network-spectra",
         description="Spectral data of biperiodic resistor networks on the torus.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, bound=False):
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.add_argument("input", help="network JSON file or bundled fixture name")
+        if bound:  # only the enumerations have one
+            p.add_argument("--bound", type=int, default=SIZE_BOUND,
+                           help="edges for forest enumeration, white vertices for dimers")
         p.set_defaults(func=func)
         return p
 
     add("validate", cmd_validate, "structural torus-graph checks")
     add("charpoly", cmd_charpoly, "exact characteristic polynomial and node report")
     add("zigzag", cmd_zigzag, "strand table and minimality verdict")
-    add("newton", cmd_newton, "three-way boundary polygon comparison and points at infinity")
-    add("ocrsf-check", cmd_ocrsf_check, "forest oracle vs determinant; boundary counts").add_argument(
+    add("newton", cmd_newton, "three-way boundary polygon comparison and points at infinity", bound=True)
+    add("ocrsf-check", cmd_ocrsf_check, "forest oracle vs determinant; boundary counts", bound=True).add_argument(
         "--draws", type=int, default=20
     )
-    add("temperley-check", cmd_temperley_check, "dual pairs vs dimer covers bijection")
+    add("temperley-check", cmd_temperley_check, "dual pairs vs dimer covers bijection", bound=True)
     yd = add("ydelta", cmd_ydelta, "single move with exact invariance check")
     move = yd.add_mutually_exclusive_group(required=True)
     move.add_argument("--y2d", type=int, metavar="VERTEX")

@@ -4,9 +4,8 @@ A class exists only when code catches it by type or the CLI prints its name;
 every other failure raises ``NetworkSpectraError`` with its own message.
 """
 
-# The one bound on the exact routines, each counting its own blow-up:
-# vertices for the exact determinant, edges for the 2^E forest enumerations,
-# white vertices for the dimer-cover search.
+# The one bound on the exact enumerations, each counting its own blow-up:
+# edges for the 2^E forest enumerations, white vertices for the dimer-cover search.
 SIZE_BOUND = 24
 
 

@@ -548,7 +548,6 @@ def _try_extend(g1, g2, v0, w0, align, reverse):
     if not assign_vertex(v0, w0, align):
         return None
     queue = [v0]
-    done = {v0}
     while queue:
         v = queue.pop()
         for d in g1.rotation.get(v, ()):
@@ -570,7 +569,6 @@ def _try_extend(g1, g2, v0, w0, align, reverse):
                     return None
                 if not assign_vertex(u, x, k2 - k1):
                     return None
-                done.add(u)
                 queue.append(u)
     if len(vmap) != g1.n_vertices or len(set(vmap.values())) != g1.n_vertices:
         return None

@@ -15,13 +15,13 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SIZE_BOUND, InputError, NetworkSpectraError, check_size
+from .errors import InputError, NetworkSpectraError
 from .graph_core import TorusGraph
 from .laurent import Exponent, LaurentPoly2
 
@@ -172,9 +172,8 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def charpoly(L: LaplacianMatrix, max_vertices: int = SIZE_BOUND) -> LaurentPoly2:
+def charpoly(L: LaplacianMatrix) -> LaurentPoly2:
     """det of the twisted Laplacian as an exact Laurent polynomial."""
-    check_size(L.size, "vertices", max_vertices)
     return _det(L.entries)
 
 
@@ -234,18 +233,27 @@ def _derivative(a: Sequence[int]) -> list[int]:
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """gcd of integer polynomials by the primitive PRS: each pseudo-remainder is
-    divided by its content.  Primitive, with a positive leading coefficient."""
+    """gcd of integer polynomials by the heuristic gcd (Char, Geddes and Gonnet
+    1989): gamma = gcd(a(x), b(x)) read back in balanced base x, kept once its
+    primitive part divides a and b, else x <- 2x + 1.  gamma's spurious factor
+    divides the resultant of the cofactors, so once x exceeds twice that times
+    the gcd's largest coefficient, the read-back is exact and the loop ends.
+    Primitive, with a positive leading coefficient."""
     a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = a
-        while len(r) >= len(b):  # lead(b) * r - lead(r) * z^k * b
-            k, q = len(r) - len(b), r[-1]
-            r = _trim([x * b[-1] - (q * b[i - k] if i >= k else 0) for i, x in enumerate(r)])
-        a, b = b, _primitive(r)
-    return a
+    if not a or not b:
+        return a or b
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        gamma, digits = math.gcd(*(reduce(lambda v, c: v * x + c, reversed(f), 0) for f in (a, b))), []
+        while gamma:
+            digits.append((gamma + x // 2) % x - x // 2)
+            gamma = (gamma - digits[-1]) // x
+        g = _primitive(digits)
+        try:
+            poly_div(a, g), poly_div(b, g)
+            return g
+        except ArithmeticError:
+            x = 2 * x + 1
 
 
 def poly_div(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -1,12 +1,16 @@
-"""Spectral data: amoebas, kernel vectors, real ovals and the divisor.  The
+"""Spectral data: amoebas, kernel vectors, amoeba holes and the divisor.  The
 points at infinity are exact (``zigzag.points_at_infinity``).
 
 The divisor is exact up to its last step: integer resultants and gcds give two
 polynomials whose real roots are the points' coordinates, and only those roots
-are floats.  Everything else consumes the exact characteristic polynomial but
-computes in floating point; the tolerances a caller sets are arguments with the
-defaults used by the acceptance checks (root residual 1e-12 relative), the rest
-are the module constants below.
+are floats.  The amoeba's holes are named by their orders: on one vertical slice
+between each two consecutive critical values of log|z| on the real curve (the
+real roots of the exact discriminant), each gap is labelled by counting fiber
+roots, and the divisor labels each point by the gap it bounds the same way.
+Everything else consumes the exact characteristic polynomial but computes in
+floating point; the tolerances a caller sets are arguments with the defaults
+used by the acceptance checks (root residual 1e-12 relative), the rest are the
+module constants below.
 
 No Fraction is converted per evaluation: fibers read the float coefficient
 matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
@@ -38,8 +42,6 @@ POLISH_ITERS = 50
 CORANK_TOL = 1e-6        # relative size of the second-smallest singular value at corank two
 BALANCE_SWEEPS = 4       # Osborne sweeps that balance the Laplacian before its SVD
 REAL_TOL = Fraction(1, 10**7)  # a root is real within this, relative; the divisor certifies at r (1 -+ it)
-NODE_EXCLUSION = 1e-3    # real points this close to the node (1, 1) are dropped
-OVAL_MARGIN = 0.4        # a cluster this close to the sweep edge in log scale is unbounded
 DEFECT_BINS = 40         # occupancy grid of the symmetry defect, per axis
 SVG_SIZE = 600
 
@@ -231,85 +233,14 @@ class DivisorResult:
         }
 
 
-def _real_curve_points(p: LaurentPoly2, radius: float, grid: int) -> list[tuple[float, float]]:
-    """Real points of the curve from sign-quadrant log sweeps in z and w."""
-    pts = []
-    for t in np.linspace(-radius, radius, grid):
-        for roots, flip in ((fiber_roots, False), (fiber_roots_in_z, True)):
-            for x in (math.exp(t), -math.exp(t)):
-                try:
-                    rs = [r.real for r in roots(p, x) if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) and r.real != 0]
-                except DegenerateFiber:
-                    continue
-                pts += [(r, x) if flip else (x, r) for r in rs]
-    return [
-        (z, w)
-        for z, w in pts
-        if (z - 1) ** 2 + (w - 1) ** 2 > NODE_EXCLUSION**2
-    ]
-
-
-@dataclass
-class RealOval:
-    """A bounded connected component of the real curve (a compact oval).
-
-    For positive conductances the compact ovals are exactly the amoeba hole
-    boundaries, so counting them is the hole-count estimator used on the
-    bundled fixtures.
-    """
-
-    centroid_log: tuple[float, float]
-
-
-def real_ovals(
-    p: LaurentPoly2,
-    radius: float = 6.0,
-    grid: int = 360,
-) -> list[RealOval]:
-    """Cluster real curve points into components; keep the bounded ones.
-
-    Points are linked within one sign quadrant when their log-space distance
-    is below a few sweep steps; clusters reaching the sweep boundary are
-    unbounded branches, the rest are compact ovals.
-    """
-    link = max(8.0 * radius / grid, 0.08)
-    keyed = [(math.copysign(1, z), math.copysign(1, w), math.log(abs(z)), math.log(abs(w)))
-             for z, w in _real_curve_points(p, radius, grid)]
-    n = len(keyed)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    order = sorted(range(n), key=lambda k: keyed[k])
-    for ii, i in enumerate(order):
-        for j in order[ii + 1:]:
-            if keyed[i][:2] != keyed[j][:2] or keyed[j][2] - keyed[i][2] > link:
-                break
-            if abs(keyed[j][3] - keyed[i][3]) <= link:
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for k in range(n):
-        comps.setdefault(find(k), []).append(k)
-    ovals = []
-    for members in comps.values():
-        if len(members) < 8:
-            continue
-        logs = [(keyed[k][2], keyed[k][3]) for k in members]
-        if any(max(abs(x), abs(y)) > radius - OVAL_MARGIN for x, y in logs):
-            continue  # reaches the sweep boundary: an unbounded branch
-        ovals.append(RealOval(tuple(sum(v) / len(logs) for v in zip(*logs))))
-    ovals.sort(key=lambda o: o.centroid_log)
-    return ovals
+def _strip(f: list[int]) -> list[int]:
+    """f without its z-power factor."""
+    return f[next((i for i, x in enumerate(f) if x), 0):]
 
 
 def _divisor_polynomial(p: LaurentPoly2, q: LaurentPoly2, c: LaurentPoly2) -> list[int]:
     """gcd(Res_w(p, q), Res_w(p, c)) without its z-power factor, lowest first."""
-    g = poly_gcd(resultant_w(p, q), resultant_w(p, c))
-    return g[next((i for i, x in enumerate(g) if x), 0):]
+    return _strip(poly_gcd(resultant_w(p, q), resultant_w(p, c)))
 
 
 def _real_roots(f: list[int]) -> list[tuple[float, int]]:
@@ -331,25 +262,54 @@ def _real_roots(f: list[int]) -> list[tuple[float, int]]:
     return out
 
 
+def _gaps(p: LaurentPoly2, x: float) -> list[tuple[float, float]]:
+    """The gaps (lo, hi) in log|w| of the amoeba's slice at log|z| = x, the two
+    unbounded ones (lo = -inf, hi = inf) included: the sorted log|w| of the real
+    roots over z = +-e^x alternate piece, gap, piece."""
+    ys = sorted(math.log(abs(r.real)) for s in (math.exp(x), -math.exp(x)) for r in fiber_roots(p, s)
+                if abs(r.imag) <= REAL_TOL * abs(r))
+    return list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf]))
+
+
+def _order(p: LaurentPoly2, x: float, y: float) -> tuple[int, int]:
+    """The order (nu1, nu2) of the amoeba complement component at (x, y) = (log|z|,
+    log|w|): nu2 = jmin + #{|w| < e^y} over z = e^x, nu1 = imin + #{|z| < e^x} over
+    w = e^y (Forsberg, Passare and Tsikh 2000)."""
+    f = p.floats()
+    return (f.imin + sum(abs(r) < math.exp(x) for r in fiber_roots_in_z(p, math.exp(y))),
+            f.jmin + sum(abs(r) < math.exp(y) for r in fiber_roots(p, math.exp(x))))
+
+
+def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
+    """The orders of the amoeba's holes, sorted.
+
+    A hole's ends in log|z| are critical values of the projection of the real curve
+    to log|z|, the log|r| of the real roots r of the discriminant Res_w(P, P_w); so
+    one slice between each two consecutive ones meets every hole.  The holes are the
+    gaps of these slices whose order is an interior point of the Newton polygon
+    other than (0, 0), the node's.  A slice with a degenerate fiber is skipped."""
+    interior = set(p.newton_polygon().interior_lattice_points()) - {(0, 0)}
+    if not interior:
+        return []
+    xs = sorted({math.log(abs(r)) for r, _ in _real_roots(_strip(resultant_w(p, p.derivative("w"))))})
+    holes = set()
+    for x in ((a + b) / 2 for a, b in zip(xs, xs[1:])):
+        try:
+            holes |= {o for lo, hi in _gaps(p, x)[1:-1] if (o := _order(p, x, (lo + hi) / 2)) in interior}
+        except DegenerateFiber as exc:
+            log.debug("real_ovals: slice log|z| = %s skipped: %s", x, exc)
+    return sorted(holes)
+
+
 def _hole(p: LaurentPoly2, z: float, w: float, orders: list[tuple[int, int]]) -> int:
     """Index in ``orders`` of the amoeba gap that the real point (z, w) bounds, or -1.
 
-    The sorted log|w| of the real roots over +-|z| alternate piece, gap, piece; the
-    gap at the point's end of its piece has midpoint y, and its order (nu1, nu2)
-    counts roots: nu2 = jmin + #{|w'| < e^y} over |z|, nu1 = imin + #{|z'| < |z|}
-    over e^y."""
-    x = abs(z)
+    The gap is the one at the point's end of its piece in the slice at log|z|; -1 at
+    an outer end of the slice or on a degenerate fiber."""
+    x, y = math.log(abs(z)), math.log(abs(w))
     try:
-        ys = sorted(math.log(abs(r.real)) for s in (x, -x) for r in fiber_roots(p, s)
-                    if abs(r.imag) <= REAL_TOL * abs(r))
-        i = min(range(len(ys)), key=lambda k: abs(ys[k] - math.log(abs(w))))
-        lo = i - 1 + i % 2
-        if not 0 <= lo < len(ys) - 1:
-            return -1
-        y = (ys[lo] + ys[lo + 1]) / 2
-        f = p.floats()
-        nu = (f.imin + sum(abs(r) < x for r in fiber_roots_in_z(p, math.exp(y))),
-              f.jmin + sum(abs(r) < math.exp(y) for r in fiber_roots(p, x)))
+        lo, hi = min(_gaps(p, x), key=lambda gap: min(abs(e - y) for e in gap))
+        nu = _order(p, x, (lo + hi) / 2) if math.isfinite(lo + hi) else None
     except DegenerateFiber:
         return -1
     return orders.index(nu) if nu in orders else -1

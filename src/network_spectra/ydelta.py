@@ -515,8 +515,9 @@ def discrete_abel(
 
     Moves along edges (vertex to vertex) and across corners (vertex to face),
     counting signed strand crossings: a strand crossing the transported path
-    from its right to its left counts +1.  Every adjacency inside the window
-    is re-checked after the sweep; a mismatch raises NetworkSpectraError.
+    from its right to its left counts +1.  The window must hold the base's own
+    lift, translate (0, 0); then the search compares every adjacency inside it,
+    and a mismatch raises NetworkSpectraError.
     """
     if isinstance(base, int):
         base = ("vertex", base)
@@ -529,6 +530,9 @@ def discrete_abel(
 
     def in_window(t: Vec) -> bool:
         return tx0 <= t[0] <= tx1 and ty0 <= t[1] <= ty1
+
+    if not in_window((0, 0)):
+        raise InputError(f"the window {window} does not contain the translate (0, 0)")
 
     def neighbors(kind: str, obj: int, t: Vec):
         """Yield (key, increment) for each adjacent lifted object."""
@@ -575,14 +579,6 @@ def discrete_abel(
             else:
                 entries[key] = new_val
                 queue.append(key)
-    # final sweep: every adjacency must agree (certifies path independence)
-    for (kind, obj, t), val in list(entries.items()):
-        for (k2, o2, t2), inc in neighbors(kind, obj, t):
-            key = (k2, o2, t2)
-            if key in entries:
-                want = tuple(v + inc.get(s, 0) for s, v in enumerate(val))
-                if entries[key] != want:
-                    raise NetworkSpectraError(f"closed-loop defect at {key}")
     return AbelChart(
         graph,
         base,

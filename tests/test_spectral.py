@@ -171,12 +171,47 @@ def test_amoeba_writers(tmp_path, sq1_poly):
 
 def test_tri2_two_ovals():
     g, c = tri2_generic()
+    # sigma symmetry: the two holes have opposite orders
+    assert real_ovals(charpoly(build_laplacian(g, c))) == [(0, -1), (0, 1)]
+
+
+def _holes_and_orders(g, c):
     p = charpoly(build_laplacian(g, c))
-    ovals = real_ovals(p)
-    assert len(ovals) == 2
-    # sigma symmetry: centroids come in an opposite pair
-    c0, c1 = (o.centroid_log for o in ovals)
-    assert abs(c0[0] + c1[0]) < 0.2 and abs(c0[1] + c1[1]) < 0.2
+    return real_ovals(p), sorted(set(p.newton_polygon().interior_lattice_points()) - {(0, 0)})
+
+
+@pytest.mark.parametrize("rung", [("sq", 2, 2), ("tri", 2, 2), ("sq", 3, 2), ("tri", 3, 2)], ids=str)
+def test_real_ovals_name_every_hole(lattice, rung):
+    # positive conductances: one hole per interior point other than the node's, and
+    # the divisor puts one point on each, labelled by the same order
+    g = lattice(*rung)
+    c = random_rational_conductances(g, random.Random(1))
+    holes, orders = _holes_and_orders(g, c)
+    assert holes == orders
+    assert sorted({orders[pt.hole_index] for pt in spectral_divisor(g, c).points}) == holes
+
+
+@pytest.mark.parametrize("rung", [("sq", 2, 2), ("tri", 2, 2)], ids=str)
+def test_real_ovals_signed_sigma_closed(lattice, rung):
+    # signed conductances: still all g orders, which the polygon's central symmetry
+    # closes under sigma
+    g = lattice(*rung)
+    holes, orders = _holes_and_orders(g, random_rational_conductances(g, random.Random(1), positive=False))
+    assert holes == orders
+
+
+@pytest.mark.parametrize("seed, positive", [(5, False), (7, True)])
+def test_real_ovals_tri2_draws(seed, positive):
+    # draws on which the oval clustering found no hole
+    g, _ = build("tri2")
+    c = random_rational_conductances(g, random.Random(seed), positive=positive)
+    assert real_ovals(charpoly(build_laplacian(g, c))) == [(0, -1), (0, 1)]
+
+
+@pytest.mark.parametrize("name", ["sq2", "tri2"])
+def test_real_ovals_unit_ovals_are_nodes(name):
+    # at unit conductances both ovals shrink to real nodes: no hole
+    assert real_ovals(charpoly(build_laplacian(*build(name)))) == []
 
 
 def test_null_vectors_constant_at_node():

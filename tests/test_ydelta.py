@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from network_spectra import ydelta
-from network_spectra.errors import NetworkSpectraError, SingularDenominator
+from network_spectra.errors import InputError, NetworkSpectraError, SingularDenominator
 from network_spectra.fixtures import build, fixture_path
 from network_spectra.graph_core import (
     Edge,
@@ -299,6 +299,12 @@ def test_abel_face_loop_returns_home():
     g, _ = build("hex1")
     chart = discrete_abel(g, ("vertex", 0), ((0, 0), (0, 0)))
     assert ("face", 0, (0, 0)) in chart.entries or len(chart.entries) >= 1
+
+
+def test_abel_window_must_hold_the_base():
+    g, _ = build("hex1")
+    with pytest.raises(InputError, match="does not contain the translate"):
+        discrete_abel(g, ("vertex", 0), ((1, 2), (-1, 1)))
 
 
 @pytest.mark.parametrize("steps", [0, 1, 5])
