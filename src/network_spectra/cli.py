@@ -160,7 +160,7 @@ def cmd_temperley_check(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
     sup = graph.superpose()
     pairs = enumerate_dual_pairs(graph, max_edges=args.bound)
-    covers = enumerate_dimers(sup, max_whites=args.bound)
+    covers = enumerate_dimers(sup, max_edges=args.bound)
     images = [temperley_map(sup, p) for p in pairs]
     bijection = len(set(images)) == len(pairs) and set(images) == set(covers)
     ref = reference_pair(graph)
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="network JSON file or bundled fixture name")
         if bound:  # only the enumerations have one
             p.add_argument("--bound", type=int, default=SIZE_BOUND,
-                           help="edges for forest enumeration, white vertices for dimers")
+                           help="edges for the forest and dimer enumerations")
         p.set_defaults(func=func)
         return p
 

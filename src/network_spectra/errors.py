@@ -4,8 +4,8 @@ A class exists only when code catches it by type or the CLI prints its name;
 every other failure raises ``NetworkSpectraError`` with its own message.
 """
 
-# The one bound on the exact enumerations, each counting its own blow-up:
-# edges for the 2^E forest enumerations, white vertices for the dimer-cover search.
+# The one bound on the exact enumerations, in edges: the 2^E forest enumerations
+# and the dimer-cover search, whose white vertices are the edges.
 SIZE_BOUND = 24
 
 

@@ -70,10 +70,6 @@ class LaurentPoly2:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
     def coeff(self, i: int, j: int) -> Fraction:
         return self._c.get((i, j), Fraction(0))
 
@@ -81,9 +77,6 @@ class LaurentPoly2:
         """Terms in sorted exponent order (deterministic)."""
         for key in sorted(self._c):
             yield key, self._c[key]
-
-    def support(self) -> list[Exponent]:
-        return sorted(self._c)
 
     def __len__(self) -> int:
         return len(self._c)
@@ -219,10 +212,6 @@ class LaurentPoly2:
                 total += v * z**i * w**j
             return total
         return self.floats().at(z, w)[0]
-
-    def scale_at(self, z: complex, w: complex) -> float:
-        """Sum of |coefficient * monomial| at (z, w); a residual yardstick."""
-        return self.floats().at(z, w)[1]
 
     def floats(self) -> "FloatView":
         """The float view, built on first use and cached in a slot.  Exact

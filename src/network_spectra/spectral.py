@@ -291,7 +291,10 @@ def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
     interior = set(p.newton_polygon().interior_lattice_points()) - {(0, 0)}
     if not interior:
         return []
-    xs = sorted({math.log(abs(r)) for r, _ in _real_roots(_strip(resultant_w(p, p.derivative("w"))))})
+    xs: list[float] = []
+    for x in sorted(math.log(abs(r)) for r, _ in _real_roots(_strip(resultant_w(p, p.derivative("w"))))):
+        if not xs or x - xs[-1] > REAL_TOL:  # one value, e.g. log|1| and log|-1| at a real node
+            xs.append(x)
     holes = set()
     for x in ((a + b) / 2 for a, b in zip(xs, xs[1:])):
         try:

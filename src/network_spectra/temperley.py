@@ -30,11 +30,12 @@ class DimerCover:
         return w
 
 
-def enumerate_dimers(sup: SuperposedGraph, max_whites: int = SIZE_BOUND) -> list[DimerCover]:
-    """All perfect matchings, by backtracking over white vertices."""
+def enumerate_dimers(sup: SuperposedGraph, max_edges: int = SIZE_BOUND) -> list[DimerCover]:
+    """All perfect matchings, by backtracking over white vertices.  The whites are
+    the base graph's edges, so the size bound counts edges."""
     g = sup.graph
     blacks, whites = sup.color_classes()
-    check_size(len(whites), "white vertices", max_whites)
+    check_size(len(whites), "edges", max_edges)
     if len(blacks) != len(whites):
         return []
     out: list[DimerCover] = []

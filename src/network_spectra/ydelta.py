@@ -7,6 +7,10 @@ A = bc / (a + b + c); the new edge from neighbor i to neighbor j inherits the
 displacement difference of the legs.  Eliminating the star vertex by a Schur
 complement shows det before = (a + b + c) * det after, exactly, which is the
 invariance check used throughout.
+
+Each move removes three edges, adds three and rewrites the rotation slots the
+removed darts held (``_rewire``): Y -> Delta turns a neighbor's leg slot into two
+triangle darts, Delta -> Y turns a corner's two triangle slots into its leg.
 """
 
 from __future__ import annotations
@@ -38,8 +42,25 @@ class MoveInfo:
     denominator: Fraction | None = None
 
 
-def _renumber_after_vertex_removal(v: int, n: int) -> dict[int, int]:
-    return {u: (u if u < v else u - 1) for u in range(n) if u != v}
+def _rewire(graph: TorusGraph, conductances, removed, added, slots, vmap, rows):
+    """Delete the edges ``removed``, append ``added`` as (tail, head, disp, conductance)
+    and renumber vertex u to ``vmap[u]``, dropping the rows of vertices not in it.
+    Old dart d gives way to ``slots[d]``, darts of removed edges drop out, and ``rows``
+    are new vertices' rows; there dart 2k / 2k + 1 is added edge k forward / back.
+    Returns (graph, c, edge_map, new edge ids)."""
+    keep = [e for e in graph.edges if e.id not in removed]
+    emap = {e.id: k for k, e in enumerate(keep)}
+    base = len(keep)
+    spec = [(vmap[e.tail], vmap[e.head], e.disp, Fraction(conductances[e.id])) for e in keep] + list(added)
+    edges = [Edge(k, tail, head, disp) for k, (tail, head, disp, _) in enumerate(spec)]
+    c = {k: ck for k, (*_, ck) in enumerate(spec)}
+    moved = {2 * e + b: (2 * k + b,) for e, k in emap.items() for b in (0, 1)}
+    moved.update({d: [2 * base + x for x in xs] for d, xs in slots.items()})
+    rotation = {vmap[u]: [x for d in row for x in moved.get(d, ())]
+                for u, row in graph.rotation.items() if u in vmap}
+    rotation.update({u: [2 * base + x for x in row] for u, row in rows.items()})
+    g2 = TorusGraph(len(vmap) + len(rows), edges, rotation)
+    return g2, c, emap, tuple(range(base, len(spec)))
 
 
 def y_to_delta(graph: TorusGraph, conductances: Mapping[int, Fraction], v: int):
@@ -51,51 +72,19 @@ def y_to_delta(graph: TorusGraph, conductances: Mapping[int, Fraction], v: int):
         raise NetworkSpectraError(f"vertex {v} has degree {len(legs)}, need 3")
     if any(graph.head_of(d) == v for d in legs):
         raise NetworkSpectraError(f"vertex {v} carries a loop")
-    leg_edges = [graph.edge_of(d) for d in legs]
-    leg_c = [Fraction(conductances[e]) for e in leg_edges]
+    leg_c = [Fraction(conductances[graph.edge_of(d)]) for d in legs]
     sigma = sum(leg_c)
     if sigma == 0:
         raise SingularDenominator("a + b + c = 0; the move is undefined here")
-    neighbors = [graph.head_of(d) for d in legs]
-    delta = [graph.disp(d) for d in legs]
-
-    vmap = _renumber_after_vertex_removal(v, graph.n_vertices)
-    keep = [e for e in graph.edges if e.id not in leg_edges]
-    emap = {e.id: k for k, e in enumerate(keep)}
-    new_edges: list[Edge] = []
-    for e in keep:
-        new_edges.append(Edge(emap[e.id], vmap[e.tail], vmap[e.head], e.disp))
-    tri_ids = []
-    new_c: dict[int, Fraction] = {emap[e.id]: Fraction(conductances[e.id]) for e in keep}
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        eid = len(new_edges)
-        tri_ids.append(eid)
-        new_edges.append(
-            Edge(eid, vmap[neighbors[i]], vmap[neighbors[j]], vsub(delta[j], delta[i]))
-        )
-        new_c[eid] = leg_c[i] * leg_c[j] / sigma
-
-    def new_dart(old_dart: int) -> int:
-        return 2 * emap[graph.edge_of(old_dart)] + (old_dart & 1)
-
-    rotation: dict[int, list[int]] = {}
-    for u, slots in graph.rotation.items():
-        if u == v:
-            continue
-        row: list[int] = []
-        for d in slots:
-            if graph.edge_of(d) in leg_edges:
-                # this is the slot pointing at v along leg i
-                i = leg_edges.index(graph.edge_of(d))
-                fwd = 2 * tri_ids[(i + 2) % 3]        # n_i -> n_{i+1}
-                rev = 2 * tri_ids[(i + 1) % 3] + 1    # n_i -> n_{i-1}
-                row.extend((fwd, rev))
-            else:
-                row.append(new_dart(d))
-        rotation[vmap[u]] = tuple(row)
-    g2 = TorusGraph(graph.n_vertices - 1, new_edges, rotation)
-    return g2, new_c, MoveInfo(vmap, emap, tuple(tri_ids), denominator=sigma)
+    vmap = {u: u - (u > v) for u in range(graph.n_vertices) if u != v}
+    nbr = [vmap[graph.head_of(d)] for d in legs]
+    # triangle edge k, opposite leg k, runs from neighbor k+1 to neighbor k+2
+    added = [(nbr[i], nbr[j], vsub(graph.disp(legs[j]), graph.disp(legs[i])), leg_c[i] * leg_c[j] / sigma)
+             for i, j in ((1, 2), (2, 0), (0, 1))]
+    # at neighbor i, the slot of the leg back to v becomes (edge i+2 forward, edge i+1 back)
+    slots = {graph.alpha(d): (2 * ((i + 2) % 3), 2 * ((i + 1) % 3) + 1) for i, d in enumerate(legs)}
+    g2, c2, emap, tri_ids = _rewire(graph, conductances, {graph.edge_of(d) for d in legs}, added, slots, vmap, {})
+    return g2, c2, MoveInfo(vmap, emap, tri_ids, denominator=sigma)
 
 
 def delta_to_y(graph: TorusGraph, conductances: Mapping[int, Fraction], face: int):
@@ -108,54 +97,20 @@ def delta_to_y(graph: TorusGraph, conductances: Mapping[int, Fraction], face: in
     tri_edges = [graph.edge_of(d) for d in orbit]
     if len(set(tri_edges)) != 3:
         raise NetworkSpectraError(f"face {face} repeats an edge")
-    corners = [graph.tail_of(d) for d in orbit]
     A = [Fraction(conductances[e]) for e in tri_edges]
     S = A[0] * A[1] + A[1] * A[2] + A[2] * A[0]
     if S == 0 or any(a == 0 for a in A):
         raise SingularDenominator("AB + BC + CA = 0; the move is undefined here")
-    # leg at corner i is opposite the triangle edge not touching it: edge of orbit[i+1]
-    leg_c = [S / A[(i + 1) % 3] for i in range(3)]
-    eta = [(0, 0), (0, 0), (0, 0)]
-    eta[1] = vneg(graph.disp(orbit[0]))
-    eta[2] = vsub(eta[1], graph.disp(orbit[1]))
-
+    # leg i runs from corner i to the star, opposite the triangle edge of orbit[i+1]
     star = graph.n_vertices
-    keep = [e for e in graph.edges if e.id not in tri_edges]
-    emap = {e.id: k for k, e in enumerate(keep)}
-    new_edges = [Edge(emap[e.id], e.tail, e.head, e.disp) for e in keep]
-    new_c: dict[int, Fraction] = {emap[e.id]: Fraction(conductances[e.id]) for e in keep}
-    leg_ids = []
-    for i in range(3):
-        eid = len(new_edges)
-        leg_ids.append(eid)
-        new_edges.append(Edge(eid, corners[i], star, eta[i]))
-        new_c[eid] = leg_c[i]
-
-    def new_dart(old_dart: int) -> int:
-        return 2 * emap[graph.edge_of(old_dart)] + (old_dart & 1)
-
-    rotation: dict[int, list[int]] = {}
-    replaced = {
-        # at corner i, the ccw-consecutive pair (orbit[i], alpha(orbit[i-1]))
-        # collapses to the leg dart corner -> star
-        (corners[i], orbit[i]): 2 * leg_ids[i]
-        for i in range(3)
-    }
-    skip = {graph.alpha(orbit[(i - 1) % 3]) for i in range(3)}
-    for u, slots in graph.rotation.items():
-        row: list[int] = []
-        for d in slots:
-            if (u, d) in replaced:
-                row.append(replaced[(u, d)])
-            elif d in skip:
-                continue
-            else:
-                row.append(new_dart(d))
-        rotation[u] = tuple(row)
-    rotation[star] = tuple(2 * leg_ids[i] + 1 for i in range(3))
-    g2 = TorusGraph(graph.n_vertices + 1, new_edges, rotation)
+    eta1 = vneg(graph.disp(orbit[0]))
+    eta = [(0, 0), eta1, vsub(eta1, graph.disp(orbit[1]))]
+    added = [(graph.tail_of(d), star, eta[i], S / A[(i + 1) % 3]) for i, d in enumerate(orbit)]
+    # at corner i, the ccw pair (orbit[i], reversed orbit[i-1]) collapses to leg i
+    slots = {d: (2 * i,) for i, d in enumerate(orbit)}
     vmap = {u: u for u in range(graph.n_vertices)}
-    return g2, new_c, MoveInfo(vmap, emap, tuple(leg_ids), new_vertex=star, denominator=S)
+    g2, c2, emap, leg_ids = _rewire(graph, conductances, set(tri_edges), added, slots, vmap, {star: (1, 3, 5)})
+    return g2, c2, MoveInfo(vmap, emap, leg_ids, new_vertex=star, denominator=S)
 
 
 # -- invariance ------------------------------------------------------------------
@@ -189,18 +144,13 @@ def invariance_check(
     For d2y at a face creating legs (a, b, c): P_after = (a+b+c) * P_before.
     """
     p1 = charpoly(build_laplacian(graph, conductances))
+    g2, c2, info = apply_move(graph, conductances, Move(op, target))
+    p2 = charpoly(build_laplacian(g2, c2))
     if op == "y2d":
-        g2, c2, info = y_to_delta(graph, conductances, target)
-        factor = info.denominator
-        p2 = charpoly(build_laplacian(g2, c2))
-        exact = p1 == LaurentPoly2.constant(factor) * p2
-    elif op == "d2y":
-        g2, c2, info = delta_to_y(graph, conductances, target)
-        factor = sum(c2[e] for e in info.new_edges)
-        p2 = charpoly(build_laplacian(g2, c2))
-        exact = p2 == LaurentPoly2.constant(factor) * p1
+        factor, big, small = info.denominator, p1, p2
     else:
-        raise ValueError(f"unknown move {op!r}")
+        factor, big, small = sum(c2[e] for e in info.new_edges), p2, p1
+    exact = big == LaurentPoly2.constant(factor) * small
     polygon_equal = zigzag_polygon(graph) == zigzag_polygon(g2)
     return InvarianceReport(op, target, factor, exact, polygon_equal, p1, p2)
 
@@ -373,29 +323,21 @@ def cube_recurrence_program(graph: TorusGraph) -> MoveProgram:
     moves: list[Move] = []
     g = graph
     c = {e.id: Fraction(1) for e in graph.edges}
-    keys = [_face_key(graph, f) for f in cover]
     edge_track = {e.id: e.id for e in graph.edges}       # original -> current
     vertex_track = {v: v for v in range(graph.n_vertices)}
-    for key in keys:
-        current = frozenset(edge_track[e] for e in key if e in edge_track)
-        face = _find_face(g, current)
-        moves.append(Move("d2y", face))
-        g, c, info = apply_move(g, c, moves[-1])
-        edge_track = {
-            o: info.edge_map[cur] for o, cur in edge_track.items() if cur in info.edge_map
-        }
-        vertex_track = {o: info.vertex_map[v] for o, v in vertex_track.items()}
+
+    def apply(move: Move) -> None:
+        nonlocal g, c, edge_track, vertex_track
+        moves.append(move)
+        g, c, info = apply_move(g, c, move)
+        edge_track = {o: info.edge_map[e] for o, e in edge_track.items() if e in info.edge_map}
+        vertex_track = {o: info.vertex_map[v] for o, v in vertex_track.items() if v in info.vertex_map}
+
+    for f in cover:
+        current = frozenset(edge_track[e] for e in _face_key(graph, f) if e in edge_track)
+        apply(Move("d2y", _find_face(g, current)))
     for v0 in sorted(vertex_track):
-        moves.append(Move("y2d", vertex_track[v0]))
-        g, c, info = apply_move(g, c, moves[-1])
-        edge_track = {
-            o: info.edge_map[cur] for o, cur in edge_track.items() if cur in info.edge_map
-        }
-        vertex_track = {
-            o: info.vertex_map[v]
-            for o, v in vertex_track.items()
-            if v in info.vertex_map
-        }
+        apply(Move("y2d", vertex_track[v0]))
     res = find_isomorphism(g, graph)
     if res is None:
         raise NetworkSpectraError("the recurrence step did not return to the graph")

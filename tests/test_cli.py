@@ -240,7 +240,7 @@ def test_out_of_range_id_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["newton", "ocrsf-check", "temperley-check"])
 def test_size_bound(tmp_path, capsys, command):
-    # the bound counts edges and white vertices; the determinant has none
+    # the bound counts edges; the determinant has none
     assert run(tmp_path, command, "tri2", "--bound", "1") == 1
     assert "check failed: TooLarge: " in capsys.readouterr().err
 

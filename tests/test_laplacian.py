@@ -142,7 +142,7 @@ def test_minor_polygon_contained_tri2():
     p_hull = charpoly(L).newton_polygon()
     for v0 in (0, 1):
         q = principal_minor(L, v0)
-        for pt in q.support():
+        for pt, _ in q.terms():
             assert p_hull.contains(pt, strict=True)
 
 

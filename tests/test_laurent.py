@@ -36,7 +36,7 @@ def test_ring_laws_randomized(rng):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
-        assert (a - a).is_zero
+        assert not a - a
 
 
 def test_canonical_form_drops_zeros():
@@ -142,7 +142,7 @@ def test_pick_vs_enumeration(rng):
 def test_polygon_reflection_matches_involution(rng):
     for _ in range(10):
         p = random_poly(rng)
-        if p.is_zero:
+        if not p:
             continue
         assert p.involution().newton_polygon() == p.newton_polygon().point_reflection()
 

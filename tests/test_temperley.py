@@ -48,7 +48,7 @@ def test_unbalanced_graph_has_no_matchings():
 def test_matching_bound():
     g, _ = build("tri2")
     with pytest.raises(TooLarge):
-        enumerate_dimers(g.superpose(), max_whites=2)
+        enumerate_dimers(g.superpose(), max_edges=2)
 
 
 def test_bijection(any_network):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,28 @@ def test_invariance_d2y_tri2(rng):
             c = random_rational_conductances(g, rng)
             rep = invariance_check(g, c, "d2y", f)
             assert rep.exact and rep.polygon_equal
+
+
+@pytest.mark.parametrize("size", [(2, 2), (3, 2)], ids=["tri2x2", "tri3x2"])
+@pytest.mark.parametrize("positive", [True, False], ids=["positive", "signed"])
+def test_invariance_star_triangle_star_on_lattices(lattice, size, positive):
+    # unlike hex1 and tri2, each inserted star has three distinct neighbours
+    g = lattice("tri", *size)
+    c = random_rational_conductances(g, random.Random(1), positive=positive)
+    for f in range(g.n_faces):
+        rep = invariance_check(g, c, "d2y", f)
+        assert rep.exact and rep.polygon_equal, f
+        g2, c2, info = delta_to_y(g, c, f)
+        rep = invariance_check(g2, c2, "y2d", info.new_vertex)
+        assert rep.exact and rep.polygon_equal, f
+        g3, c3, back = y_to_delta(g2, c2, info.new_vertex)
+        assert g2.validate().ok and g3.validate().ok
+        assert back.vertex_map == {v: v for v in range(g.n_vertices)}
+        tri = [g.edge_of(d) for d in g.faces[f]]
+        # triangle edge k of the y2d joins corners k+1 and k+2, as the face's side k+1 does
+        restored = {tri[(k + 1) % 3]: c3[e] for k, e in enumerate(back.new_edges)}
+        restored.update({e: c3[back.edge_map[x]] for e, x in info.edge_map.items()})
+        assert restored == c, f
 
 
 def test_trivial_program_conserves():
