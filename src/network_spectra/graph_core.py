@@ -438,9 +438,6 @@ class SuperposedGraph:
         self.n_black = base.n_vertices + base.n_faces
         self.n_white = base.n_edges
 
-    def is_white(self, v: int) -> bool:
-        return v >= self.n_black
-
     def half_edge(self, e: int, side: str) -> int:
         """Superposition edge id for a side in {tail, head, left, right}."""
         k = {"tail": 0, "head": 1, "left": 2, "right": 3}[side]
@@ -473,20 +470,6 @@ def random_rational_conductances(graph: TorusGraph, rng, positive: bool = True) 
             q = -q
         out[e.id] = q
     return out
-
-
-def conductances_proportional(c1: Mapping[int, Fraction], c2: Mapping[int, Fraction]) -> bool:
-    """Equal as conductance functions, i.e. up to one global nonzero scalar."""
-    if set(c1) != set(c2):
-        return False
-    keys = sorted(c1)
-    if not keys:
-        return True
-    k0 = keys[0]
-    if c2[k0] == 0:
-        return False
-    r = Fraction(c1[k0]) / Fraction(c2[k0])
-    return all(Fraction(c1[k]) == r * Fraction(c2[k]) for k in keys)
 
 
 # -- isomorphism ------------------------------------------------------------------

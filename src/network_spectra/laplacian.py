@@ -2,11 +2,13 @@
 
 Each dart u -> v with displacement (d1, d2) and conductance c adds c to the
 diagonal entry of u and subtracts c * z^d1 w^d2 from the (u, v) entry; a loop
-therefore contributes 2c and -c (chi^d + chi^-d) to its vertex's cell.  The
-determinant is exact: a subset DP for n <= 8 or, above, interpolation on an
-integer grid, both over integer rows, and one division at the end (``_det``).
-The same engines give the resultants, and integer coefficient lists the gcds,
-that the spectral divisor is made of.
+therefore contributes 2c and -c (chi^d + chi^-d) to its vertex's cell.
+``build_laplacian`` sums these in integers: each row is scaled by the lcm of
+its conductances' denominators, so no Fraction is added.  The determinant is
+exact: a subset DP for n <= 8 or, above, interpolation on an integer grid, both
+over those integer rows, and one division at the end (``_det``).  The same
+engines give the resultants, and integer coefficient lists the gcds, that the
+spectral divisor is made of.
 """
 
 from __future__ import annotations
@@ -28,18 +30,29 @@ from .laurent import Exponent, LaurentPoly2
 log = logging.getLogger(__name__)
 
 
+IntRow = tuple[list[dict[Exponent, int]], int, int, int]
+
+
 @dataclass
 class LaplacianMatrix:
+    """``rows[u]`` is (ints, a, b, s): row u is z^a w^b / s times the integer
+    polynomials ``ints``, in ``_integer_row``'s form (s > 0 and coprime to the
+    ints, least exponents 0); the Laurent ``entries`` are derived on first use."""
+
     graph: TorusGraph
     conductances: dict
-    entries: tuple[tuple[LaurentPoly2, ...], ...]
+    rows: tuple[IntRow, ...]
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def entry(self, u: int, v: int) -> LaurentPoly2:
-        return self.entries[u][v]
+    @cached_property
+    def entries(self) -> tuple[tuple[LaurentPoly2, ...], ...]:
+        return tuple(
+            tuple(LaurentPoly2({(i + a, j + b): Fraction(c, s) for (i, j), c in e.items()}) for e in ints)
+            for ints, a, b, s in self.rows
+        )
 
     @cached_property
     def darts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -60,47 +73,64 @@ class LaplacianMatrix:
 
 
 def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> LaplacianMatrix:
-    n = graph.n_vertices
-    entries = [[LaurentPoly2.zero() for _ in range(n)] for _ in range(n)]
+    """Integer rows from the darts: row u is scaled by s_u, the lcm of the denominators
+    of the conductances at u, so each dart adds its numerator times s_u / denominator;
+    ``_normal_row`` then gives what ``_integer_row`` gives for the Fraction sums."""
+    darts_at: list[list] = [[] for _ in range(graph.n_vertices)]
     for d in range(graph.n_darts):
-        u, v = graph.tail_of(d), graph.head_of(d)
         c = Fraction(conductances[graph.edge_of(d)])
         if c == 0:
             raise InputError(f"conductance of edge {graph.edge_of(d)} is zero")
-        i, j = graph.disp(d)
-        entries[u][u] = entries[u][u] + LaurentPoly2.constant(c)
-        entries[u][v] = entries[u][v] - LaurentPoly2.monomial(i, j, c)
-    return LaplacianMatrix(graph, dict(conductances), tuple(tuple(row) for row in entries))
+        darts_at[graph.tail_of(d)].append((graph.head_of(d), graph.disp(d), c))
+    rows = []
+    for u, darts in enumerate(darts_at):
+        s = math.lcm(*{c.denominator for *_, c in darts})  # a repeat would cost a full gcd
+        row: list[dict[Exponent, int]] = [{} for _ in darts_at]
+        for v, ij, c in darts:
+            x = c.numerator * (s // c.denominator)
+            row[u][0, 0] = row[u].get((0, 0), 0) + x
+            row[v][ij] = row[v].get(ij, 0) - x
+        rows.append(_normal_row([{k: x for k, x in e.items() if x} for e in row], 0, 0, s))
+    return LaplacianMatrix(graph, dict(conductances), tuple(rows))
 
 
-def _det(rows: Sequence[Sequence[LaurentPoly2]]) -> LaurentPoly2:
+def _det(rows: Sequence[IntRow]) -> LaurentPoly2:
     """Exact determinant, divided once: ``integer_det``'s D over its scale."""
     d, scale = integer_det(rows)
     return LaurentPoly2({k: Fraction(c, scale) for k, c in d.items()})
 
 
-def integer_det(rows: Sequence[Sequence[LaurentPoly2]]) -> tuple[dict[Exponent, int], int]:
+def integer_det(rows: Sequence[IntRow]) -> tuple[dict[Exponent, int], int]:
     """det M as (D, s), integers D_ij != 0 and s > 0: det M = sum of D_ij z^i w^j / s.
 
-    Row u times s_u / (z^a_u w^b_u), s_u the lcm of its denominators and a_u,
-    b_u its least exponents, is an integer polynomial row with exponents >= 0,
-    and s is the product of the s_u.  The subset DP takes the determinant of
+    Row u of M is z^a_u w^b_u / s_u times an integer polynomial row with exponents
+    >= 0 (``LaplacianMatrix.rows``, ``minor_rows``, or ``_integer_row`` of a Laurent
+    row), and s is the product of the s_u.  The subset DP takes the determinant of
     these rows for n <= 8, ``_det_grid`` above.  On a 2-core x86 host, with
     small signed conductances on lattices, the DP took 2-7 ms at n = 9 against
     3-5 ms on the grid, 37-62 ms at n = 12 against 12-13; with 1300-bit ones it
     won at every n (n = 9: 0.65-3.2 s against 6.5-16 s)."""
-    ints, za, wb, scale = [], 0, 0, 1
-    for row in rows:
-        r, a, b, d = _integer_row(row)
-        ints.append(r)
-        za, wb, scale = za + a, wb + b, scale * d
+    ints = [r for r, *_ in rows]
+    za, wb = sum(a for _, a, _, _ in rows), sum(b for *_, b, _ in rows)
     d = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
-    return {(i + za, j + wb): c for (i, j), c in d.items()}, scale
+    return {(i + za, j + wb): c for (i, j), c in d.items()}, math.prod(s for *_, s in rows)
 
 
-def _integer_row(row: Sequence[LaurentPoly2]) -> tuple[list[dict[Exponent, int]], int, int, int]:
+def _normal_row(row: list[dict[Exponent, int]], a: int, b: int, s: int) -> IntRow:
+    """z^a w^b / s times ``row``, in ``_integer_row``'s form: the gcd of s and the
+    ints divided out and the least exponents (0 for a zero row) moved into a, b."""
+    t = [(i, j, c) for e in row for (i, j), c in e.items()]
+    da, db = min((i for i, _, _ in t), default=-a), min((j for _, j, _ in t), default=-b)
+    g = math.gcd(s, *(c for *_, c in t))
+    if da == db == 0 and g == 1:
+        return row, a, b, s
+    return [{(i - da, j - db): c // g for (i, j), c in e.items()} for e in row], a + da, b + db, s // g
+
+
+def _integer_row(row: Sequence[LaurentPoly2]) -> IntRow:
     """(row * s / (z^a w^b), a, b, s): s the lcm of the row's denominators, a and b
-    its least exponents, so the entries are integer polynomials with exponents >= 0."""
+    its least exponents, so the entries are integer polynomials with exponents >= 0.
+    For Laurent rows that do not come from ``build_laplacian``."""
     t = [term for e in row for term in e.terms()]
     a, b = min((i for (i, _), _ in t), default=0), min((j for (_, j), _ in t), default=0)
     d = math.lcm(*(c.denominator for _, c in t))
@@ -174,12 +204,14 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
 
 def charpoly(L: LaplacianMatrix) -> LaurentPoly2:
     """det of the twisted Laplacian as an exact Laurent polynomial."""
-    return _det(L.entries)
+    return _det(L.rows)
 
 
-def minor_rows(L: LaplacianMatrix, k: int, v: int) -> list[list[LaurentPoly2]]:
-    """The Laplacian with row k and column v removed."""
-    return [[e for j, e in enumerate(row) if j != v] for i, row in enumerate(L.entries) if i != k]
+def minor_rows(L: LaplacianMatrix, k: int, v: int) -> list[IntRow]:
+    """The Laplacian's integer rows with row k and column v removed, each
+    renormalised (``_normal_row``) once its column is gone."""
+    return [_normal_row([e for j, e in enumerate(ints) if j != v], a, b, s)
+            for i, (ints, a, b, s) in enumerate(L.rows) if i != k]
 
 
 def principal_minor(L: LaplacianMatrix, v0: int) -> LaurentPoly2:

@@ -238,10 +238,6 @@ class LaurentPoly2:
     def to_json_terms(self) -> list[list]:
         return [[i, j, str(v)] for (i, j), v in self.terms()]
 
-    @classmethod
-    def from_json_terms(cls, terms: Iterable[Iterable]) -> "LaurentPoly2":
-        return cls({(int(i), int(j)): Fraction(str(v)) for i, j, v in terms})
-
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
@@ -436,19 +432,7 @@ class NewtonPolygon:
             if self.contains((x, y), strict=True)
         ]
 
-    def lattice_points(self) -> list[Exponent]:
-        x0, x1, y0, y1 = self._bounding_box()
-        return [
-            (x, y)
-            for x in range(x0, x1 + 1)
-            for y in range(y0, y1 + 1)
-            if self.contains((x, y))
-        ]
-
     # -- symmetry -------------------------------------------------------------
-
-    def point_reflection(self) -> "NewtonPolygon":
-        return NewtonPolygon.from_points([(-x, -y) for x, y in self.vertices])
 
     def is_centrally_symmetric(self) -> bool:
         """Symmetric about the origin (vertex set closed under negation)."""

@@ -252,10 +252,11 @@ def conserved_vector(graph: TorusGraph, conductances) -> tuple[tuple, Vec]:
     """Charpoly coefficients normalized at an extremal anchor.
 
     The anchor is the lexicographically largest exponent of P, a vertex of its
-    Newton polygon.  P = D / s with integer D (``integer_det``), and the row
-    scale s cancels from every ratio D_ij / D_anchor, so P is never formed.
+    Newton polygon.  P = D / s with integer D (``integer_det`` of the integer
+    rows ``build_laplacian`` sums from the darts), and the row scale s cancels
+    from every ratio D_ij / D_anchor, so neither P nor a Fraction entry is formed.
     """
-    d, _ = integer_det(build_laplacian(graph, conductances).entries)
+    d, _ = integer_det(build_laplacian(graph, conductances).rows)
     if not d:
         raise NetworkSpectraError("the zero polynomial has no Newton polygon")
     anchor = max(d)

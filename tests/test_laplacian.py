@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from network_spectra import laplacian
-from network_spectra.errors import NetworkSpectraError
-from network_spectra.fixtures import build
+from network_spectra.errors import InputError, NetworkSpectraError
+from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import (
     _det,
+    _integer_row,
     build_laplacian,
     charpoly,
     minor_rows,
@@ -24,6 +25,7 @@ from network_spectra.laplacian import (
     squarefree_parts,
 )
 from network_spectra.laurent import LaurentPoly2
+from network_spectra.ydelta import MoveProgram, conserved_vector, run_program
 from network_spectra.zigzag import zigzag_polygon
 
 # hand-expanded determinants at unit conductances (frozen)
@@ -58,16 +60,16 @@ def test_sq1_matrix_entries():
     g, c = build("sq1")
     L = build_laplacian(g, c)
     assert L.size == 1
-    assert L.entry(0, 0) == LaurentPoly2(UNIT_CHARPOLY["sq1"])
+    assert L.entries[0][0] == LaurentPoly2(UNIT_CHARPOLY["sq1"])
 
 
 def test_hex1_matrix_entries():
     g, _ = build("hex1")
     c = {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}
     L = build_laplacian(g, c)
-    assert L.entry(0, 0) == LaurentPoly2({(0, 0): 10})
-    assert L.entry(0, 1) == LaurentPoly2({(0, 0): -2, (1, 0): -3, (0, 1): -5})
-    assert L.entry(1, 0) == LaurentPoly2({(0, 0): -2, (-1, 0): -3, (0, -1): -5})
+    assert L.entries[0][0] == LaurentPoly2({(0, 0): 10})
+    assert L.entries[0][1] == LaurentPoly2({(0, 0): -2, (1, 0): -3, (0, 1): -5})
+    assert L.entries[1][0] == LaurentPoly2({(0, 0): -2, (-1, 0): -3, (0, -1): -5})
 
 
 def test_transpose_involution_random(any_network, rng):
@@ -83,7 +85,7 @@ def test_row_sums_vanish_at_unit_point(any_network, rng):
     c = random_rational_conductances(g, rng)
     L = build_laplacian(g, c)
     for u in range(L.size):
-        total = sum((L.entry(u, v).eval(1, 1) for v in range(L.size)), Fraction(0))
+        total = sum((L.entries[u][v].eval(1, 1) for v in range(L.size)), Fraction(0))
         assert total == 0
 
 
@@ -158,6 +160,98 @@ def test_polygon_matches_zigzag(any_network, rng):
     assert charpoly(build_laplacian(g, c)).newton_polygon() == zigzag_polygon(g)
 
 
+# -- the integer rows against the Fraction build they replace -----------------------
+
+
+def _reference_entries(g, c):
+    """Each dart's c added to its tail's diagonal entry and -c z^d1 w^d2 to its
+    (tail, head) entry, summed in Fractions."""
+    n = g.n_vertices
+    entries = [[LaurentPoly2.zero() for _ in range(n)] for _ in range(n)]
+    for d in range(g.n_darts):
+        u, v = g.tail_of(d), g.head_of(d)
+        x = Fraction(c[g.edge_of(d)])
+        entries[u][u] = entries[u][u] + LaurentPoly2.constant(x)
+        entries[u][v] = entries[u][v] - LaurentPoly2.monomial(*g.disp(d), x)
+    return entries
+
+
+def _assert_matches_reference(g, c):
+    L, ref = build_laplacian(g, c), _reference_entries(g, c)
+    assert list(L.rows) == _int_rows(ref)  # ints, shift and scale
+    assert L.entries == tuple(map(tuple, ref))
+    return L, ref
+
+
+def _signed(g):
+    return random_rational_conductances(g, random.Random(1), positive=False)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rows_match_fraction_build_on_fixtures(name):
+    g, c = build(name)
+    for cond in (c, _signed(g)):
+        _assert_matches_reference(g, cond)
+
+
+@pytest.mark.parametrize("kind,m,n", [("sq", 2, 2), ("tri", 3, 2), ("sq", 3, 3)])
+def test_rows_match_fraction_build_on_lattices(lattice, kind, m, n):
+    g = lattice(kind, m, n)
+    _assert_matches_reference(g, _signed(g))
+
+
+def test_rows_match_fraction_build_with_a_cancelled_diagonal():
+    # vertex 0 of tri2 meets edges 0, 1, 4, 5 once and the loop 2 twice
+    g, _ = build("tri2")
+    c = _signed(g)
+    c[0] = -(c[1] + 2 * c[2] + c[4] + c[5])
+    assert c[0]
+    L, _ = _assert_matches_reference(g, c)
+    assert L.entries[0][0].coeff(0, 0) == 0
+
+
+def test_rows_match_fraction_build_with_long_conductances(lattice):
+    g = lattice("sq", 2, 2)
+    L, _ = _assert_matches_reference(g, _long_conductances(g))
+    assert max(s for *_, s in L.rows).bit_length() > 2000
+
+
+def _minor_cases(lattice):
+    g = build("hex1")[0]
+    yield g, _signed(g)
+    # hex1's diagonal entries are c0 + c1 + c2: 1/2 + 1/2 + 1 shares the factor 2
+    # with the row scale, and 2 + 3 - 5 leaves a zero row once the other column goes
+    yield g, {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1)}
+    yield g, {0: Fraction(2), 1: Fraction(3), 2: Fraction(-5)}
+    g = lattice("sq", 2, 2)
+    yield g, _signed(g)
+
+
+def test_minor_rows_match_fraction_build(lattice):
+    for g, c in _minor_cases(lattice):
+        L, ref = _assert_matches_reference(g, c)
+        for i, j in itertools.product(range(L.size), repeat=2):
+            rows = [[e for v, e in enumerate(row) if v != j] for u, row in enumerate(ref) if u != i]
+            assert minor_rows(L, i, j) == _int_rows(rows), (i, j)
+
+
+def test_conserved_vector_matches_fraction_build_along_an_orbit():
+    g, _ = build("tri2")
+    prog = MoveProgram.load(fixture_path("tri2_cube_program"))
+    rep = run_program(g, random_rational_conductances(g, random.Random(1)), prog, 25)
+    for step in rep.steps:
+        p = _det(_int_rows(_reference_entries(g, step.conductances)))
+        anchor = max(k for k, _ in p.terms())
+        assert conserved_vector(g, step.conductances) == (step.conserved, anchor)
+        assert step.conserved == tuple((k, x / p.coeff(*anchor)) for k, x in p.terms())
+    assert max(x.denominator.bit_length() for x in rep.steps[-1].conductances.values()) > 1000
+
+
+def test_zero_conductance_raises():
+    g, c = build("tri2")
+    with pytest.raises(InputError, match=r"^conductance of edge 3 is zero$"):
+        build_laplacian(g, {**c, 3: Fraction(0)})
+
 
 # -- the two determinant engines ----------------------------------------------------
 
@@ -175,8 +269,13 @@ def _laurent_matrices(draw, max_n=6):
     return rows
 
 
+def _int_rows(rows):
+    return [_integer_row(row) for row in rows]
+
+
 def _det_by(engine, rows):
-    """``_det`` (shared integer front end, one division) with ``engine`` at every size."""
+    """``_det`` of integer ``rows`` (shared front end, one division) with ``engine``
+    at every size."""
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_det_dp", "_det_grid"):
             mp.setattr(laplacian, name, getattr(laplacian, engine))
@@ -189,6 +288,7 @@ def _det_by(engine, rows):
 @example([[LaurentPoly2.monomial(1, 0), LaurentPoly2.one()], [LaurentPoly2.zero()] * 2])
 @example([[LaurentPoly2.zero(), LaurentPoly2.one()], [LaurentPoly2.monomial(0, -1), LaurentPoly2.zero()]])
 def test_grid_engine_matches_dp(rows):
+    rows = _int_rows(rows)
     assert _det_by("_det_grid", rows) == _det_by("_det_dp", rows)
 
 
@@ -197,7 +297,7 @@ def test_grid_engine_matches_dp_on_lattices(lattice, kind, m, n):
     g = lattice(kind, m, n)
     L = build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=False))
     assert L.size > 8  # above the size switch
-    for rows in (L.entries, minor_rows(L, 0, 0)):
+    for rows in (L.rows, minor_rows(L, 0, 0)):
         assert _det_by("_det_grid", rows) == _det_by("_det_dp", rows)
 
 
@@ -224,7 +324,7 @@ _ENGINES = ["_det_dp", "_det_grid"]
 @example([[LaurentPoly2({(-3, 2): Fraction(7, 999983), (1, -1): -2})]])
 @example([[LaurentPoly2.monomial(1, 0), LaurentPoly2.one()], [LaurentPoly2.zero()] * 2])
 def test_engines_match_leibniz(engine, rows):
-    assert _det_by(engine, rows) == _leibniz(rows)
+    assert _det_by(engine, _int_rows(rows)) == _leibniz(rows)
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -237,16 +337,21 @@ def test_engines_match_leibniz_long_denominators(engine):
                              for _ in range(2)})
 
     rows = [[entry() for _ in range(n)] for _ in range(n)]
-    assert _det_by(engine, rows) == _leibniz(rows)
+    assert _det_by(engine, _int_rows(rows)) == _leibniz(rows)
+
+
+def _long_conductances(g):
+    """2000-bit signed conductances, one per edge."""
+    rng = random.Random(3)
+    return {e.id: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(2000) + 1), rng.getrandbits(2000) + 1) for e in g.edges}
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_engines_match_leibniz_on_laplacian(lattice, engine):
-    g, rng = lattice("sq", 2, 2), random.Random(3)
-    c = {e.id: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(2000) + 1), rng.getrandbits(2000) + 1) for e in g.edges}
-    rows = build_laplacian(g, c).entries
-    assert len(rows) == 4
-    assert _det_by(engine, rows) == _leibniz(rows)
+    g = lattice("sq", 2, 2)
+    L = build_laplacian(g, _long_conductances(g))
+    assert L.size == 4
+    assert _det_by(engine, L.rows) == _leibniz(L.entries)
 
 
 def _fraction_det(m):
@@ -305,7 +410,7 @@ def test_desnanot_jacobi(lattice):
         C = [[_det(minor_rows(L, i, j)) for j in range(n)] for i in range(n)]
         for (i, k), (j, l) in itertools.product(itertools.combinations(range(n), 2), repeat=2):
             rows = [[e for v, e in enumerate(row) if v not in (j, l)] for u, row in enumerate(L.entries) if u not in (i, k)]
-            assert C[i][j] * C[k][l] - C[i][l] * C[k][j] == p * _det(rows), (i, k, j, l)
+            assert C[i][j] * C[k][l] - C[i][l] * C[k][j] == p * _det(_int_rows(rows)), (i, k, j, l)
 
 
 def test_resultant_w():
