@@ -21,6 +21,7 @@ skipping the forest belongs with the benchmark's re-baseline.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -48,10 +49,6 @@ class OrientedForest:
         for c in self.cycle_classes:
             h = vadd(h, c)
         return h
-
-    def out_darts(self) -> dict[int, int]:
-        """The successor function as a vertex -> dart map."""
-        return dict(enumerate(self.out))
 
     def weight(self, conductances: Mapping[int, Fraction]) -> Fraction:
         w = Fraction(1)
@@ -133,14 +130,28 @@ def pfnlap_sum(
     weights are added up per sorted tuple of cycle classes first, so each
     product is expanded once per tuple.  The forests do not depend on the
     conductances, so one ``enumerate_ocrsfs`` list serves every draw.
+
+    The sums are in integers: with c_e = p_e / q_e in lowest terms and Q the
+    product of all q_e, a forest's weight is (prod_F p_e) * (Q // prod_F q_e)
+    / Q, an exact division.  A common denominator lcm(q_e) would make n_e as
+    long as the lcm; on 2000-bit signed draws that ran 2-3x slower than a
+    Fraction per forest (sq3x2 8.7 s, tri2x2 2.1 s, against 2.8 s and 1.2 s),
+    where this form takes 0.97 s and 0.54 s.
     """
-    by_classes: dict[tuple[Vec, ...], Fraction] = {}
+    ratios = {e: Fraction(c).as_integer_ratio() for e, c in conductances.items()}
+    common = math.prod(q for _, q in ratios.values())
+    by_classes: dict[tuple[Vec, ...], int] = {}
     for f in forests:
+        num = den = 1
+        for d in f.out:
+            p, q = ratios[d >> 1]
+            num *= p
+            den *= q
         key = tuple(sorted(f.cycle_classes))
-        by_classes[key] = by_classes.get(key, 0) + f.weight(conductances)
+        by_classes[key] = by_classes.get(key, 0) + num * (common // den)
     total = LaurentPoly2.zero()
     for classes, wt in by_classes.items():
-        term = LaurentPoly2.constant(wt)
+        term = LaurentPoly2.constant(Fraction(wt, common))
         for h in classes:
             term = term * (1 - LaurentPoly2.monomial(*h))
         total = total + term
@@ -304,11 +315,11 @@ def boundary_point_counts(graph: TorusGraph, forests: Iterable[OrientedForest]):
     """#OCRSFs of ``forests`` per boundary lattice point, with the binomial
     reference value."""
     poly = zigzag_polygon(graph)
-    counts: dict[Vec, int] = {}
-    for f in forests:
-        h = f.homology()
-        if poly.contains(h) and not poly.contains(h, strict=True):
-            counts[h] = counts.get(h, 0) + 1
+    per_class = Counter(f.homology() for f in forests)
+    counts = {
+        h: n for h, n in per_class.items()
+        if poly.contains(h) and not poly.contains(h, strict=True)
+    }
     expected: dict[Vec, int] = {}
     for fam in polygon_edge_families(graph):
         n = len(fam["strands"])

@@ -313,29 +313,23 @@ def _between_ccw(lo: Vec, hi: Vec, v: Vec) -> bool:
 
 @dataclass
 class ZigZagFans:
-    """Global fan rays plus the forward and reverse local fan at each vertex."""
+    """Global fan rays plus the local fan at each vertex."""
 
     global_rays: tuple[Vec, ...]
     local: dict[int, LocalFan]
-    local_reverse: dict[int, LocalFan]
 
     def cones(self) -> list[tuple[Vec, Vec]]:
         n = len(self.global_rays)
         return [(self.global_rays[k], self.global_rays[(k + 1) % n]) for k in range(n)]
 
     def selections(self, cone: tuple[Vec, Vec]) -> dict[int, int]:
-        """Forward selection: the outgoing dart at each vertex for this cone."""
+        """The outgoing dart at each vertex for this cone."""
         direction = vadd(cone[0], cone[1])
         return {v: fan.locate(direction) for v, fan in self.local.items()}
 
-    def reverse_selections(self, cone: tuple[Vec, Vec]) -> dict[int, int]:
-        """Reverse selection: the incoming dart (head at the vertex)."""
-        direction = vadd(cone[0], cone[1])
-        return {v: fan.locate(direction) for v, fan in self.local_reverse.items()}
-
 
 def fans(graph: TorusGraph) -> ZigZagFans:
-    """Build the global fan and both local fans of a minimal network."""
+    """Build the global fan and the local fans of a minimal network."""
     sys = StrandSystem(graph)
     classes: set[Vec] = set()
     for s in sys.strands:
@@ -349,19 +343,13 @@ def fans(graph: TorusGraph) -> ZigZagFans:
     global_rays = tuple(sort_ccw(classes))
 
     local: dict[int, LocalFan] = {}
-    local_rev: dict[int, LocalFan] = {}
     for v, slots in graph.rotation.items():
         k = len(slots)
-        fwd_rays = []
-        rev_rays = []
-        for i in range(k):
-            nxt = slots[(i + 1) % k]
-            fwd_rays.append(sys.strands[sys.strand_of(graph.alpha(nxt), RIGHT)].homology)
-            rev_rays.append(sys.strands[sys.strand_of(graph.alpha(slots[i]), LEFT)].homology)
-        if not is_ccw_cyclic(fwd_rays):
+        rays = [
+            sys.strands[sys.strand_of(graph.alpha(slots[(i + 1) % k]), RIGHT)].homology
+            for i in range(k)
+        ]
+        if not is_ccw_cyclic(rays):
             raise NetworkSpectraError(f"local rays at vertex {v} are not in ccw order")
-        local[v] = LocalFan(v, tuple(fwd_rays), tuple(slots))
-        local_rev[v] = LocalFan(
-            v, tuple(rev_rays), tuple(graph.alpha(d) for d in slots)
-        )
-    return ZigZagFans(global_rays, local, local_rev)
+        local[v] = LocalFan(v, tuple(rays), tuple(slots))
+    return ZigZagFans(global_rays, local)

@@ -1,5 +1,6 @@
 import random
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,18 @@ def lattice():
     mod = types.ModuleType("perfbench_lattice")
     exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
     return mod.lattice
+
+
+def _long_conductances(g):
+    """2000-bit signed conductances, one per edge."""
+    rng = random.Random(3)
+    return {e.id: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(2000) + 1), rng.getrandbits(2000) + 1) for e in g.edges}
+
+
+@pytest.fixture(scope="session")
+def long_conductances():
+    """The 2000-bit draw as a function of the graph."""
+    return _long_conductances
 
 
 def pytest_configure(config):

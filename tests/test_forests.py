@@ -1,9 +1,11 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from network_spectra import forests as forests_mod
+from network_spectra import laplacian
 from network_spectra.errors import NetworkSpectraError, TooLarge
 from network_spectra.fixtures import build
 from network_spectra.forests import (
@@ -19,6 +21,7 @@ from network_spectra.forests import (
 )
 from network_spectra.graph_core import random_rational_conductances
 from network_spectra.laplacian import build_laplacian, charpoly
+from network_spectra.laurent import LaurentPoly2
 from network_spectra.zigzag import zigzag_polygon
 
 
@@ -48,8 +51,8 @@ def test_component_balance():
     g, _ = build("tri2")
     for f in enumerate_ocrsfs(g):
         assert len(f.edges) == g.n_vertices
-        out = f.out_darts()
-        assert sorted(out) == list(range(g.n_vertices))
+        assert len(f.out) == g.n_vertices
+        assert all(g.tail_of(d) == v for v, d in enumerate(f.out))
 
 
 def test_enumeration_bound():
@@ -60,8 +63,6 @@ def test_enumeration_bound():
 
 def test_pfnlap_sq1_unit():
     g, c = build("sq1")
-    from network_spectra.laurent import LaurentPoly2
-
     assert pfnlap_sum(enumerate_ocrsfs(g), c) == LaurentPoly2(
         {(0, 0): 4, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): -1}
     )
@@ -78,6 +79,65 @@ def test_pfnlap_equals_charpoly_random(any_network, rng):
     for _ in range(20):
         c = random_rational_conductances(g, rng, positive=False)
         assert pfnlap_sum(forests, c) == charpoly(build_laplacian(g, c))
+
+
+def _reference_pfnlap(forests, c):
+    """The oracle summed in Fractions: one weight per forest, added per sorted
+    tuple of cycle classes, then each tuple's prod (1 - chi^h) expanded."""
+    by_classes = {}
+    for f in forests:
+        key = tuple(sorted(f.cycle_classes))
+        by_classes[key] = by_classes.get(key, 0) + f.weight(c)
+    total = LaurentPoly2.zero()
+    for classes, wt in by_classes.items():
+        term = LaurentPoly2.constant(wt)
+        for h in classes:
+            term = term * (1 - LaurentPoly2.monomial(*h))
+        total = total + term
+    return total
+
+
+def test_pfnlap_matches_fraction_sum(any_network, rng, long_conductances):
+    g, c = any_network
+    forests = enumerate_ocrsfs(g)
+    for cond in (c, random_rational_conductances(g, rng, positive=False), long_conductances(g)):
+        assert pfnlap_sum(forests, cond) == _reference_pfnlap(forests, cond)
+
+
+@pytest.mark.parametrize("kind, m, n", [("sq", 2, 2), ("tri", 2, 2), ("sq", 3, 2)],
+                         ids=["sq2x2", "tri2x2", "sq3x2"])
+def test_pfnlap_matches_fraction_sum_on_lattices(lattice, kind, m, n):
+    g = lattice(kind, m, n)
+    forests = enumerate_ocrsfs(g)
+    for seed in (1, 5):
+        c = random_rational_conductances(g, random.Random(seed), positive=False)
+        assert pfnlap_sum(forests, c) == _reference_pfnlap(forests, c)
+
+
+def test_pfnlap_of_no_forests_is_zero():
+    g, c = build("tri2")
+    assert pfnlap_sum([], c) == LaurentPoly2.zero()
+
+
+def test_pfnlap_accepts_int_conductances():
+    g, _ = build("tri2")
+    forests = enumerate_ocrsfs(g)
+    c = {e.id: (-1) ** e.id * (e.id + 2) for e in g.edges}
+    assert pfnlap_sum(forests, c) == _reference_pfnlap(forests, c)
+    assert pfnlap_sum(forests, c) == charpoly(build_laplacian(g, c))
+
+
+def test_pfnlap_does_not_use_the_laplacian(monkeypatch, rng):
+    g, _ = build("tri2")
+    c = random_rational_conductances(g, rng, positive=False)
+    det = charpoly(build_laplacian(g, c))
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the oracle called the determinant it checks")
+
+    for name in ("integer_det", "build_laplacian", "_normal_row"):
+        monkeypatch.setattr(laplacian, name, unavailable)
+    assert pfnlap_sum(enumerate_ocrsfs(g), c) == det
 
 
 def test_sq1_dual_pairs():
@@ -168,8 +228,7 @@ def test_external_full_family_identity(any_network):
         for k in range(len(fam["strands"]) + 1):
             f = external_ocrsf(g, edge, fam["strands"][:k])
             assert f.is_union_of_cycles()
-            out = f.out_darts()
-            indeg = Counter(g.head_of(d) for d in out.values())
+            indeg = Counter(g.head_of(d) for d in f.out)
             assert all(indeg[v] == 1 for v in range(g.n_vertices))
 
 
@@ -216,7 +275,7 @@ def test_lattice_ocrsfs_are_successor_functions(lattice, rng, kind, m, n, count)
     assert len(forests) == count == len({f.out for f in forests})
     for f in forests:
         assert len(f.edges) == g.n_vertices
-        assert all(g.tail_of(d) == v for v, d in f.out_darts().items())
+        assert all(g.tail_of(d) == v for v, d in enumerate(f.out))
         for cyc in f.cycles:  # closed walks along the successor function
             assert all(f.out[g.tail_of(d)] == d for d in cyc)
             assert all(g.head_of(a) == g.tail_of(b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))

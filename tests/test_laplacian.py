@@ -210,9 +210,9 @@ def test_rows_match_fraction_build_with_a_cancelled_diagonal():
     assert L.entries[0][0].coeff(0, 0) == 0
 
 
-def test_rows_match_fraction_build_with_long_conductances(lattice):
+def test_rows_match_fraction_build_with_long_conductances(lattice, long_conductances):
     g = lattice("sq", 2, 2)
-    L, _ = _assert_matches_reference(g, _long_conductances(g))
+    L, _ = _assert_matches_reference(g, long_conductances(g))
     assert max(s for *_, s in L.rows).bit_length() > 2000
 
 
@@ -340,16 +340,10 @@ def test_engines_match_leibniz_long_denominators(engine):
     assert _det_by(engine, _int_rows(rows)) == _leibniz(rows)
 
 
-def _long_conductances(g):
-    """2000-bit signed conductances, one per edge."""
-    rng = random.Random(3)
-    return {e.id: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(2000) + 1), rng.getrandbits(2000) + 1) for e in g.edges}
-
-
 @pytest.mark.parametrize("engine", _ENGINES)
-def test_engines_match_leibniz_on_laplacian(lattice, engine):
+def test_engines_match_leibniz_on_laplacian(lattice, long_conductances, engine):
     g = lattice("sq", 2, 2)
-    L = build_laplacian(g, _long_conductances(g))
+    L = build_laplacian(g, long_conductances(g))
     assert L.size == 4
     assert _det_by(engine, L.rows) == _leibniz(L.entries)
 

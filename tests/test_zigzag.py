@@ -5,11 +5,13 @@ import pytest
 
 from network_spectra.errors import NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
-from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances
+from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances, vadd
 from network_spectra.laplacian import build_laplacian, charpoly
 from network_spectra.laurent import NewtonPolygon
 from network_spectra.ydelta import MoveProgram, apply_move, delta_to_y, y_to_delta
 from network_spectra.zigzag import (
+    LEFT,
+    LocalFan,
     StrandSystem,
     fans,
     infinity_splits,
@@ -130,23 +132,39 @@ def test_fans_global_cone_count_matches_polygon(any_network):
     assert len(F.cones()) == len(zigzag_polygon(g).vertices)
 
 
+def _reverse_fans(g):
+    """The reverse local fan at each vertex: corner k's ray is the class of the
+    strand turning L at the reversal of slot k, and its cone selects that
+    incoming dart."""
+    sys = StrandSystem(g)
+    return {
+        v: LocalFan(
+            v,
+            tuple(sys.strands[sys.strand_of(g.alpha(d), LEFT)].homology for d in slots),
+            tuple(g.alpha(d) for d in slots),
+        )
+        for v, slots in g.rotation.items()
+    }
+
+
 def test_local_fan_rays_per_corner(any_network):
     g, _ = any_network
     F = fans(g)
+    reverse = _reverse_fans(g)
     for v, fan in F.local.items():
         assert len(fan.rays) == g.degree(v)
         # reverse fan rays are the negated forward rays, corner by corner
-        rev = F.local_reverse[v]
-        assert tuple((-a, -b) for a, b in fan.rays) == rev.rays
+        assert tuple((-a, -b) for a, b in fan.rays) == reverse[v].rays
 
 
 def test_forward_reverse_selection_agreement(any_network):
     # the out-dart chosen at a tail equals the in-dart chosen at the head
     g, _ = any_network
     F = fans(g)
-    for cone in F.cones():
-        fwd = sorted(F.selections(cone).values())
-        rev = sorted(F.reverse_selections(cone).values())
+    reverse = _reverse_fans(g)
+    for a, b in F.cones():
+        fwd = sorted(F.selections((a, b)).values())
+        rev = sorted(fan.locate(vadd(a, b)) for fan in reverse.values())
         assert fwd == rev
 
 
