@@ -1,6 +1,6 @@
 """Spectral data of biperiodic resistor networks on the torus."""
 
-from .graph_core import Edge, TorusGraph, find_isomorphism, isomorphic, unit_conductances
+from .graph_core import Edge, TorusGraph, find_isomorphism, unit_conductances
 from .laurent import LaurentPoly2, NewtonPolygon
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "LaurentPoly2",
     "NewtonPolygon",
     "find_isomorphism",
-    "isomorphic",
     "unit_conductances",
 ]
 

@@ -200,7 +200,15 @@ def cmd_evolve(args) -> tuple[int, dict]:
         c = random_rational_conductances(graph, random.Random(args.seed))
     t0 = time.time()
     rep = run_program(graph, c, program, steps)
-    data = rep.to_json()
+    # past ~45 tri2 steps the conductances pass the int-to-str limit of 4300 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        data = rep.to_json()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     data["elapsed_seconds"] = round(time.time() - t0, 3)
     data["seed"] = args.seed
     return (0 if rep.conserved_constant and rep.strand_classes_preserved else 1), data
@@ -229,7 +237,7 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     holes = divisor.hole_count if divisor else len(spectral.real_ovals(p))
     spectral.write_amoeba_svg(svg_path, cloud, divisor.points if divisor else [])
     data = {
-        "points": len(cloud.points),
+        "points": len(cloud.samples),
         "skipped_fibers": cloud.skipped_fibers,
         "holes": holes,
         "divisor_error": divisor_error,

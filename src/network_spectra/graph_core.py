@@ -581,8 +581,3 @@ def is_isomorphism(
         if vmap == vertex_map and emap == edge_map:
             return True
     return False
-
-
-def isomorphic(g1: TorusGraph, g2: TorusGraph) -> bool:
-    """Isomorphic as torus graphs, orientation-reversing maps included."""
-    return any(find_isomorphism(g1, g2, rev) is not None for rev in (False, True))

@@ -265,12 +265,13 @@ class FloatView:
             self._t = FloatView(self.jmin, self.imin, np.ascontiguousarray(self.C.T))
             return self._t
 
-    def fiber(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    def fiber(self, z: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients of p(z, .) by w-exponent from jmin, and the same sums
-        taken over |coefficient| * |z|^i (the fiber's residual yardstick)."""
-        z = complex(z)
+        taken over |coefficient| * |z|^i (the fiber's residual yardstick).  An
+        array of F values of z gives (F, m) arrays, a scalar z 1-D ones."""
+        z = np.asarray(z, dtype=complex)[..., None]
         e = np.arange(self.imin, self.imin + self.C.shape[1])
-        return self.C @ z**e, self.A @ abs(z) ** e
+        return z**e @ self.C.T, np.abs(z) ** e @ self.A.T
 
     def at(self, z: complex, w: complex) -> tuple[complex, float]:
         """p(z, w) and the sum of |coefficient * monomial| there."""

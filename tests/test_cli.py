@@ -1,9 +1,14 @@
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
+from network_spectra import cli
 from network_spectra import forests as forests_mod
 from network_spectra.cli import main
+from network_spectra.ydelta import run_program
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 
 
@@ -83,6 +88,31 @@ def test_evolve_program(tmp_path):
     data = json.loads((tmp_path / "evolve_tri2.json").read_text())
     assert data["conserved_constant"]
     assert len(data["steps"]) == 5
+
+
+def test_evolve_past_the_int_str_digit_limit(tmp_path, monkeypatch):
+    # at 50 steps tri2's conductances pass the int-to-str limit of 4300 digits; the
+    # report is still written, and the interpreter's limit is left as it was
+    runs = []
+    monkeypatch.setattr(cli, "run_program", lambda *a: runs.append(run_program(*a)) or runs[-1])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    before = limit()
+    prog = str(fixture_path("tri2_cube_program"))
+    argv = ["evolve", "tri2", "--program", prog, "--steps", "50", "--random-conductances", "--seed", "1"]
+    assert run(tmp_path, *argv) == 0
+    assert limit() == before
+    data = json.loads((tmp_path / "evolve_tri2.json").read_text())
+    assert data["conserved_constant"] is True
+    last, step = runs[0].steps[-1], data["steps"][-1]
+    assert last.step == step["step"] == 50
+    assert max(max(v.numerator, v.denominator).bit_length() for v in last.conductances.values()) > 4300 / math.log10(2)
+    if before:  # reading the long numbers back needs the limit lifted too
+        sys.set_int_max_str_digits(0)
+    try:
+        assert {int(k): Fraction(v) for k, v in step["conductances"].items()} == last.conductances
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
 
 
 def test_amoeba_outputs(tmp_path):

@@ -13,9 +13,13 @@ from network_spectra.graph_core import random_rational_conductances, unit_conduc
 from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
+    POLISH_ITERS,
+    ROOT_TOL,
+    AmoebaCloud,
     amoeba,
     fiber_roots,
     fiber_roots_in_z,
+    fibers,
     null_vectors,
     real_ovals,
     spectral_divisor,
@@ -124,12 +128,114 @@ def test_fiber_roots_in_z_match_explicit_transpose(rng):
 
 def test_newton_polish_repairs_perturbed_roots(monkeypatch, rng):
     p = _tri2_poly()
-    companion_roots = np.roots
-    monkeypatch.setattr(np, "roots", lambda c: companion_roots(c) * (1 + 1e-6))
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals(m) * (1 + 1e-6))
     for _ in range(5):
         z = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         for w in fiber_roots(p, z):
             assert abs(p.eval(z, w)) <= 1e-11 * p.floats().at(z, w)[1]
+
+
+def _reference_fiber_roots(p, z, tol=ROOT_TOL):
+    """One fiber at a time: np.roots of the coefficients at z, then Newton on its
+    roots with the same stop rule and cap as ``fibers``."""
+    f = p.floats()
+    if z == 0:
+        raise DegenerateFiber("z = 0")
+    z = complex(z)
+    ez = np.arange(f.imin, f.imin + f.C.shape[1])
+    a, s = f.C @ z**ez, f.A @ abs(z) ** ez
+    if abs(a[-1]) <= 1e-13 * s[-1] or abs(a[0]) <= 1e-13 * s[0]:
+        raise DegenerateFiber(f"asymptote at z = {z}")
+    w = np.roots(a[::-1]).astype(complex)
+    e = np.arange(f.jmin, f.jmin + len(a))
+    todo = np.arange(len(w))
+    for _ in range(POLISH_ITERS):
+        wt = w[todo, None]
+        below = wt ** (e - 1)
+        powers = below * wt
+        val, dv = powers @ a, below @ (a * e)
+        go = (np.abs(val) > tol * (np.abs(powers) @ s)) & (dv != 0)
+        todo = todo[go]
+        if not len(todo):
+            break
+        w[todo] -= val[go] / dv[go]
+    return w.tolist()
+
+
+def _reference_amoeba(p, grid, radius=3.0, phases=24):
+    """``amoeba``'s sweep, one reference fiber per z and per w."""
+    swapped = LaurentPoly2({(j, i): v for (i, j), v in p.terms()})
+    samples, skipped = [], 0
+    for val in _amoeba_values(grid, radius, phases):
+        for q, pair in ((p, lambda r: (val, r)), (swapped, lambda r: (r, val))):
+            try:
+                samples.extend(pair(r) for r in _reference_fiber_roots(q, val) if r != 0)
+            except DegenerateFiber:
+                skipped += 1
+    return AmoebaCloud(samples, radius, skipped)
+
+
+def _amoeba_values(grid, radius=3.0, phases=24):
+    return [cmath.exp(t + 2j * math.pi * (k + 0.316) / phases)
+            for t in np.linspace(-radius, radius, grid) for k in range(phases)]
+
+
+# tri2_generic and the positive lattice draws the amoeba is checked on, at seed 1
+AMOEBA_RUNGS = ["tri2", ("sq", 2, 2), ("tri", 2, 2), ("sq", 3, 2), ("tri", 3, 2)]
+
+
+def _rung_poly(lattice, rung):
+    if rung == "tri2":
+        return _tri2_poly()
+    g = lattice(*rung)
+    return charpoly(build_laplacian(g, random_rational_conductances(g, random.Random(1))))
+
+
+@pytest.mark.parametrize("rung", AMOEBA_RUNGS, ids=str)
+def test_fibers_match_reference_per_root(lattice, rung):
+    p = _rung_poly(lattice, rung)
+    zs = _amoeba_values(30)
+    for q in (p, LaurentPoly2({(j, i): v for (i, j), v in p.terms()})):  # both sweep directions
+        got, ok = fibers(q, zs)
+        assert ok.all() and got.shape == (len(zs), q.floats().C.shape[0] - 1)
+        for z, row in zip(zs, got):
+            ref = np.sort(np.array(_reference_fiber_roots(q, z)))
+            for w, r in zip(np.sort(row), ref):
+                assert abs(w - r) <= 1e-8 * max(1.0, abs(r))
+
+
+def test_fibers_mask_degenerate_inside_batch():
+    # the top w-coefficient (z - 2) and the bottom one (z - 3) vanish at z = 2, 3
+    p = LaurentPoly2({(1, 1): 1, (0, 1): -2, (1, -1): 1, (0, -1): -3, (0, 0): 1})
+    zs = [2.5, 2.0, 0.0, complex(1, 1), 3.0, -0.5]
+    w, ok = fibers(p, zs)
+    for z, row, good in zip(zs, w, ok):
+        try:
+            ref = _reference_fiber_roots(p, z)
+        except DegenerateFiber:
+            assert not good and not row.any()
+        else:
+            assert good and len(row) == len(ref)
+            for w in row:
+                assert min(abs(w - r) for r in ref) <= 1e-12 * abs(w)
+    assert ok.tolist() == [True, False, False, True, False, True]
+
+
+def test_fibers_polish_cap_logged_per_fiber(sq1_poly, caplog):
+    with caplog.at_level(logging.DEBUG, logger="network_spectra.spectral"):
+        w, ok = fibers(sq1_poly, [complex(0.7, 0.2), complex(-1.3, 0.4), 2.0], tol=0.0)
+    assert ok.all() and w.shape == (3, 2)
+    assert len([r for r in caplog.records if "polish cap" in r.getMessage()]) == 3
+
+
+@pytest.mark.parametrize("rung", AMOEBA_RUNGS, ids=str)
+def test_amoeba_matches_reference_sweep(lattice, rung):
+    p = _rung_poly(lattice, rung)
+    cloud, ref = amoeba(p, grid=30), _reference_amoeba(p, 30)
+    assert len(cloud.samples) == len(ref.samples)
+    assert cloud.skipped_fibers == ref.skipped_fibers
+    assert cloud.symmetric_defect() == ref.symmetric_defect()
 
 
 def test_float_view_not_inherited():
