@@ -7,11 +7,20 @@ directory, and exits 0 only if all asserted checks passed.  Exit codes:
 move-program files (invalid JSON, missing keys, zero conductances, unknown
 move ops, a step count that is negative or not an integer), a negative draw
 count or window, and out-of-range vertex or face ids, 3 I/O errors.
+
+``main`` is re-entrant: a notebook, the test suite or a benchmark may call it
+many times in one process.  The parser is built once, on the first call (never
+at import, which stays cheap), and reused; ``parse_args`` returns a fresh
+namespace each time, so no value or exclusive-group choice carries over.  The
+subcommand's function is looked up by name, ``cmd_<command>``, at each call
+rather than pinned in the parser, so a ``cmd_*`` attribute that is replaced
+after the first call (a monkeypatch, a tracing wrapper) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -280,7 +289,9 @@ def cmd_abel(args) -> tuple[int, dict]:
     return (0 if all(eq.values()) else 1), data
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then shared."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="reports", help="output directory for reports")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
@@ -290,53 +301,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, bound=False):
+    def add(name, help_text, bound=False):
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.add_argument("input", help="network JSON file or bundled fixture name")
         if bound:  # only the enumerations have one
             p.add_argument("--bound", type=int, default=SIZE_BOUND,
                            help="edges for the forest and dimer enumerations")
-        p.set_defaults(func=func)
         return p
 
-    add("validate", cmd_validate, "structural torus-graph checks")
-    add("charpoly", cmd_charpoly, "exact characteristic polynomial and node report")
-    add("zigzag", cmd_zigzag, "strand table and minimality verdict")
-    add("newton", cmd_newton, "three-way boundary polygon comparison and points at infinity", bound=True)
-    add("ocrsf-check", cmd_ocrsf_check, "forest oracle vs determinant; boundary counts", bound=True).add_argument(
+    add("validate", "structural torus-graph checks")
+    add("charpoly", "exact characteristic polynomial and node report")
+    add("zigzag", "strand table and minimality verdict")
+    add("newton", "three-way boundary polygon comparison and points at infinity", bound=True)
+    add("ocrsf-check", "forest oracle vs determinant; boundary counts", bound=True).add_argument(
         "--draws", type=int, default=20
     )
-    add("temperley-check", cmd_temperley_check, "dual pairs vs dimer covers bijection", bound=True)
-    yd = add("ydelta", cmd_ydelta, "single move with exact invariance check")
+    add("temperley-check", "dual pairs vs dimer covers bijection", bound=True)
+    yd = add("ydelta", "single move with exact invariance check")
     move = yd.add_mutually_exclusive_group(required=True)
     move.add_argument("--y2d", type=int, metavar="VERTEX")
     move.add_argument("--d2y", type=int, metavar="FACE")
-    ev = add("evolve", cmd_evolve, "run a move program; conserved quantities")
+    ev = add("evolve", "run a move program; conserved quantities")
     ev.add_argument("--program", required=True, help="move program JSON")
     ev.add_argument("--steps", type=int, default=None)
     ev.add_argument("--random-conductances", action="store_true")
-    am = add("amoeba", cmd_amoeba, "amoeba point cloud, CSV + SVG")
+    am = add("amoeba", "amoeba point cloud, CSV + SVG")
     am.add_argument("--grid", type=int, default=60)
     am.add_argument("--radius", type=float, default=3.0)
     am.add_argument("--v0", type=int, default=0)
-    dv = add("divisor", cmd_divisor, "spectral divisor from exact resultants")
+    dv = add("divisor", "spectral divisor from exact resultants")
     dv.add_argument("--v0", type=int, default=0)
     dv.add_argument("--grid", type=int, default=360,
                     help="ignored: the divisor takes no sweep; accepted so that existing command lines run")
     dv.add_argument("--tol", type=float, default=1e-9,
                     help="bound on the section residual |V_v0| of each point's unit kernel vector")
     dv.add_argument("--qtol", type=float, default=1e-6)
-    ab = add("abel", cmd_abel, "discrete Abel chart over a window")
+    ab = add("abel", "discrete Abel chart over a window")
     ab.add_argument("--base", type=int, default=0)
     ab.add_argument("--window", type=int, default=1)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    name = args.command.replace("-", "_")
     try:
-        code, data = args.func(args)
+        code, data = globals()[f"cmd_{name}"](args)
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -347,7 +357,7 @@ def main(argv=None) -> int:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     stem = Path(args.input).stem
-    path = _write_report(Path(args.out), f"{args.command.replace('-', '_')}_{stem}", data)
+    path = _write_report(Path(args.out), f"{name}_{stem}", data)
     status = "PASS" if code == 0 else "FAIL"
     print(f"{args.command} {stem}: {status} ({path})")
     return code

@@ -267,24 +267,25 @@ def _real_roots(f: list[int]) -> list[tuple[float, int]]:
     return out
 
 
-def _gaps(p: LaurentPoly2, x: float) -> list[tuple[float, float]]:
+def _gaps(p: LaurentPoly2, x: float) -> tuple[list[tuple[float, float]], list[complex]]:
     """The gaps (lo, hi) in log|w| of the amoeba's slice at log|z| = x, the two
-    unbounded ones (lo = -inf, hi = inf) included: the sorted log|w| of the real
-    roots over z = +-e^x alternate piece, gap, piece."""
+    unbounded ones (lo = -inf, hi = inf) included, and the roots w over z = e^x,
+    which ``_order`` counts: the sorted log|w| of the real roots over z = +-e^x
+    alternate piece, gap, piece."""
     ws, ok = fibers(p, [math.exp(x), -math.exp(x)])
     if not ok.all():
         raise DegenerateFiber(f"a fiber over |z| = e^{x} is degenerate")
     ys = sorted(math.log(abs(r.real)) for r in ws.ravel().tolist() if abs(r.imag) <= REAL_TOL * abs(r))
-    return list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf]))
+    return list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])), ws[0].tolist()
 
 
-def _order(p: LaurentPoly2, x: float, y: float) -> tuple[int, int]:
+def _order(p: LaurentPoly2, x: float, y: float, ws: list[complex]) -> tuple[int, int]:
     """The order (nu1, nu2) of the amoeba complement component at (x, y) = (log|z|,
-    log|w|): nu2 = jmin + #{|w| < e^y} over z = e^x, nu1 = imin + #{|z| < e^x} over
-    w = e^y (Forsberg, Passare and Tsikh 2000)."""
+    log|w|), given the roots ``ws`` over z = e^x: nu2 = jmin + #{|w| < e^y} over
+    z = e^x, nu1 = imin + #{|z| < e^x} over w = e^y (Forsberg, Passare and Tsikh 2000)."""
     f = p.floats()
     return (f.imin + sum(abs(r) < math.exp(x) for r in fiber_roots_in_z(p, math.exp(y))),
-            f.jmin + sum(abs(r) < math.exp(y) for r in fiber_roots(p, math.exp(x))))
+            f.jmin + sum(abs(r) < math.exp(y) for r in ws))
 
 
 def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
@@ -305,7 +306,8 @@ def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
     holes = set()
     for x in ((a + b) / 2 for a, b in zip(xs, xs[1:])):
         try:
-            holes |= {o for lo, hi in _gaps(p, x)[1:-1] if (o := _order(p, x, (lo + hi) / 2)) in interior}
+            gaps, ws = _gaps(p, x)
+            holes |= {o for lo, hi in gaps[1:-1] if (o := _order(p, x, (lo + hi) / 2, ws)) in interior}
         except DegenerateFiber as exc:
             log.debug("real_ovals: slice log|z| = %s skipped: %s", x, exc)
     return sorted(holes)
@@ -318,8 +320,9 @@ def _hole(p: LaurentPoly2, z: float, w: float, orders: list[tuple[int, int]]) ->
     an outer end of the slice or on a degenerate fiber."""
     x, y = math.log(abs(z)), math.log(abs(w))
     try:
-        lo, hi = min(_gaps(p, x), key=lambda gap: min(abs(e - y) for e in gap))
-        nu = _order(p, x, (lo + hi) / 2) if math.isfinite(lo + hi) else None
+        gaps, ws = _gaps(p, x)
+        lo, hi = min(gaps, key=lambda gap: min(abs(e - y) for e in gap))
+        nu = _order(p, x, (lo + hi) / 2, ws) if math.isfinite(lo + hi) else None
     except DegenerateFiber:
         return -1
     return orders.index(nu) if nu in orders else -1
@@ -372,9 +375,7 @@ def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: 
 
 def write_amoeba_csv(path, cloud: AmoebaCloud) -> None:
     with open(path, "w") as fh:
-        fh.write("log_abs_z,log_abs_w\n")
-        for x, y in cloud.points:
-            fh.write(f"{x:.12g},{y:.12g}\n")
+        fh.write("log_abs_z,log_abs_w\n" + "".join(f"{x:.12g},{y:.12g}\n" for x, y in cloud.points))
 
 
 def write_amoeba_svg(

@@ -297,3 +297,46 @@ def test_amoeba_records_divisor_error(tmp_path, monkeypatch):
     assert data["divisor_error"] == "CorankTwo: two small singular values"
     assert data["holes"] == 2
     assert '<g stroke="#d62728"' not in (tmp_path / "amoeba_tri2.svg").read_text()
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_looks_up_the_subcommand_at_call_time(tmp_path, monkeypatch):
+    # a cmd_* attribute replaced after the parser exists is the one that runs
+    assert run(tmp_path, "charpoly", "sq1") == 0
+    calls = []
+    charpoly = cli.cmd_charpoly
+    monkeypatch.setattr(cli, "cmd_charpoly", lambda args: calls.append(args.input) or charpoly(args))
+    assert run(tmp_path, "charpoly", "sq1") == 0
+    assert calls == ["sq1"]
+
+
+PROGRAM = str(fixture_path("tri2_cube_program"))
+
+
+def _report(path):
+    data = json.loads(path.read_text())
+    data.pop("elapsed_seconds", None)  # evolve's wall time
+    return data
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["ydelta", "hex1", "--y2d", "0"], ["ydelta", "tri2", "--d2y", "0"]),
+        (["evolve", "tri2", "--program", PROGRAM, "--steps", "2"], ["evolve", "tri2", "--program", PROGRAM]),
+        (["amoeba", "tri2", "--v0", "1", "--grid", "30"], ["divisor", "tri2"]),
+    ],
+    ids=["ydelta", "evolve", "amoeba-divisor"],
+)
+def test_main_is_reentrant(tmp_path, monkeypatch, first, second):
+    # no default or exclusive-group choice of one call leaks into the next
+    report = f"{second[0]}_{second[1]}.json"
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert run(shared, *first) == 0
+    code = run(shared, *second)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run(fresh, *second) == code
+    assert _report(shared / report) == _report(fresh / report)

@@ -297,6 +297,18 @@ def test_real_ovals_name_every_hole(lattice, rung):
     assert sorted({orders[pt.hole_index] for pt in spectral_divisor(g, c).points}) == holes
 
 
+def test_divisor_labels_each_point_from_three_fibers(monkeypatch):
+    # the slice's gaps solve z = +-e^x, the order reuses the e^x roots and adds w = e^y
+    from network_spectra import spectral
+
+    solved, solve = [], spectral.fibers
+    monkeypatch.setattr(spectral, "fibers", lambda p, zs, *a: solved.append(len(zs)) or solve(p, zs, *a))
+    g, _ = build("tri2")
+    res = spectral_divisor(g, random_rational_conductances(g, random.Random(1)))
+    assert res.hole_count == len(res.points) == 2
+    assert sum(solved) == 3 * len(res.points)
+
+
 @pytest.mark.parametrize("rung", [("sq", 2, 2), ("tri", 2, 2)], ids=str)
 def test_real_ovals_signed_sigma_closed(lattice, rung):
     # signed conductances: still all g orders, which the polygon's central symmetry
