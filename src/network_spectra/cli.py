@@ -73,10 +73,6 @@ def _write_report(outdir: Path, name: str, data: dict) -> Path:
     return path
 
 
-def _poly_json(p) -> list:
-    return p.to_json_terms()
-
-
 def cmd_validate(args) -> tuple[int, dict]:
     graph, _, _ = _load_network(args.input)
     report = graph.validate()
@@ -88,14 +84,14 @@ def cmd_charpoly(args) -> tuple[int, dict]:
     p = charpoly(L := build_laplacian(graph, c))
     node = node_check(p)
     data = {
-        "charpoly": _poly_json(p),
+        "charpoly": p.to_json_terms(),
         "node": node.to_json(),
         "sigma_symmetric": p == p.involution(),
         "newton_polygon": p.newton_polygon().to_json(),
     }
     ok = node.is_node and data["sigma_symmetric"]
     if graph.n_vertices >= 2:
-        data["principal_minor_v0"] = _poly_json(principal_minor(L, 0))
+        data["principal_minor_v0"] = principal_minor(L, 0).to_json_terms()
     return (0 if ok else 1), data
 
 
@@ -294,26 +290,27 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and then shared."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="reports", help="output directory for reports")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     ap = argparse.ArgumentParser(
         prog="network-spectra",
         description="Spectral data of biperiodic resistor networks on the torus.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, bound=False):
+    def add(name, help_text, bound=False, seed=False):
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.add_argument("input", help="network JSON file or bundled fixture name")
         if bound:  # only the enumerations have one
             p.add_argument("--bound", type=int, default=SIZE_BOUND,
                            help="edges for the forest and dimer enumerations")
+        if seed:  # only the random draws read one
+            p.add_argument("--seed", type=int, default=0, help="seed for the random conductance draws")
         return p
 
     add("validate", "structural torus-graph checks")
     add("charpoly", "exact characteristic polynomial and node report")
     add("zigzag", "strand table and minimality verdict")
     add("newton", "three-way boundary polygon comparison and points at infinity", bound=True)
-    add("ocrsf-check", "forest oracle vs determinant; boundary counts", bound=True).add_argument(
+    add("ocrsf-check", "forest oracle vs determinant; boundary counts", bound=True, seed=True).add_argument(
         "--draws", type=int, default=20
     )
     add("temperley-check", "dual pairs vs dimer covers bijection", bound=True)
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     move = yd.add_mutually_exclusive_group(required=True)
     move.add_argument("--y2d", type=int, metavar="VERTEX")
     move.add_argument("--d2y", type=int, metavar="FACE")
-    ev = add("evolve", "run a move program; conserved quantities")
+    ev = add("evolve", "run a move program; conserved quantities", seed=True)
     ev.add_argument("--program", required=True, help="move program JSON")
     ev.add_argument("--steps", type=int, default=None)
     ev.add_argument("--random-conductances", action="store_true")

@@ -1,7 +1,9 @@
 """Bundled example networks.
 
-Builders return ``(graph, unit_conductances)``; the same graphs ship as JSON
-under ``network_spectra/fixtures`` for the CLI.
+The JSON files under ``network_spectra/fixtures`` are the only definition of
+these networks; the CLI, the benchmark and ``build`` all read them.  ``build``
+returns the graph with unit conductances, while CLI ``tri2`` runs the generic
+conductances stored in ``tri2.json`` (``tri2_generic`` here).
 
   sq1   square lattice, 1x1 fundamental domain (1 vertex, 2 loops)
   tri1  triangular lattice, 1x1 (1 vertex, 3 loops)
@@ -14,102 +16,27 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .graph_core import Edge, TorusGraph, unit_conductances
+from .graph_core import TorusGraph, unit_conductances
 
 FIXTURE_NAMES = ("sq1", "tri1", "hex1", "sq2", "tri2")
 
 
-def sq1() -> tuple[TorusGraph, dict]:
-    g = TorusGraph(
-        1,
-        [Edge(0, 0, 0, (1, 0)), Edge(1, 0, 0, (0, 1))],
-        {0: (0, 2, 1, 3)},
-        positions={0: (0.5, 0.5)},
-    )
-    return g, unit_conductances(g)
-
-
-def tri1() -> tuple[TorusGraph, dict]:
-    g = TorusGraph(
-        1,
-        [Edge(0, 0, 0, (1, 0)), Edge(1, 0, 0, (0, 1)), Edge(2, 0, 0, (-1, 1))],
-        {0: (0, 2, 4, 1, 3, 5)},
-        positions={0: (0.5, 0.5)},
-    )
-    return g, unit_conductances(g)
-
-
-def hex1() -> tuple[TorusGraph, dict]:
-    g = TorusGraph(
-        2,
-        [Edge(0, 0, 1, (0, 0)), Edge(1, 0, 1, (1, 0)), Edge(2, 0, 1, (0, 1))],
-        {0: (0, 2, 4), 1: (1, 3, 5)},
-        positions={0: (0.25, 0.25), 1: (0.75, 0.75)},
-    )
-    return g, unit_conductances(g)
-
-
-def sq2() -> tuple[TorusGraph, dict]:
-    g = TorusGraph(
-        2,
-        [
-            Edge(0, 0, 1, (0, 0)),   # horizontal u -> v
-            Edge(1, 1, 0, (1, 0)),   # horizontal v -> u, wrapping
-            Edge(2, 0, 0, (0, 1)),   # vertical loop at u
-            Edge(3, 1, 1, (0, 1)),   # vertical loop at v
-        ],
-        {0: (0, 4, 3, 5), 1: (2, 6, 1, 7)},
-        positions={0: (0.25, 0.5), 1: (0.75, 0.5)},
-    )
-    return g, unit_conductances(g)
-
-
-def tri2() -> tuple[TorusGraph, dict]:
-    g = TorusGraph(
-        2,
-        [
-            Edge(0, 0, 1, (0, 0)),   # horizontal u -> v
-            Edge(1, 1, 0, (1, 0)),   # horizontal v -> u, wrapping
-            Edge(2, 0, 0, (0, 1)),   # vertical loop at u
-            Edge(3, 1, 1, (0, 1)),   # vertical loop at v
-            Edge(4, 0, 1, (0, 1)),   # diagonal u -> v
-            Edge(5, 1, 0, (1, 1)),   # diagonal v -> u, wrapping
-        ],
-        {0: (0, 8, 4, 3, 11, 5), 1: (2, 10, 6, 1, 9, 7)},
-        positions={0: (0.25, 0.5), 1: (0.75, 0.5)},
-    )
-    return g, unit_conductances(g)
+def build(name: str) -> tuple[TorusGraph, dict]:
+    """The bundled network ``name`` with unit conductances."""
+    if name not in FIXTURE_NAMES:
+        raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURE_NAMES)}")
+    graph, _ = TorusGraph.load(fixture_path(name))
+    return graph, unit_conductances(graph)
 
 
 def tri2_generic() -> tuple[TorusGraph, dict]:
-    """tri2 with fixed generic positive conductances.
+    """tri2 with the fixed generic positive conductances of ``tri2.json``.
 
     Unit conductances sit at the degenerate (isoradial-like) point where the
     compact ovals contract; this draw keeps them open, which the divisor
-    machinery needs.  The bundled ``tri2.json`` carries these values.
+    machinery needs.
     """
-    from fractions import Fraction
-
-    g, _ = tri2()
-    c = {
-        0: Fraction(3),
-        1: Fraction(1),
-        2: Fraction(2),
-        3: Fraction(5),
-        4: Fraction(1, 2),
-        5: Fraction(2, 3),
-    }
-    return g, c
-
-
-_BUILDERS = {"sq1": sq1, "tri1": tri1, "hex1": hex1, "sq2": sq2, "tri2": tri2}
-
-
-def build(name: str) -> tuple[TorusGraph, dict]:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; have {sorted(_BUILDERS)}") from None
+    return TorusGraph.load(fixture_path("tri2"))
 
 
 def fixture_path(name: str):

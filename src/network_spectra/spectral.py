@@ -347,7 +347,7 @@ def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: 
         raise NetworkSpectraError("positive real conductances required")
     from .laplacian import charpoly, node_check
 
-    L = build_laplacian(graph, {k: v for k, v in conductances.items()})
+    L = build_laplacian(graph, conductances)
     p, q = charpoly(L), principal_minor(L, v0)
     c = LaurentPoly2(integer_det(minor_rows(L, (v0 + 1) % L.size, v0))[0])
     gz = _divisor_polynomial(p, q, c)

@@ -146,9 +146,10 @@ def test_reports_byte_stable(tmp_path):
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command", "x"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command", "x"], ["charpoly", "sq1", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_io_error_exit_3(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from network_spectra.errors import GraphValidationError
-from network_spectra.fixtures import build
+from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path, tri2_generic
 from network_spectra.graph_core import (
     Edge,
     TorusGraph,
@@ -41,6 +41,23 @@ def test_all_fixtures_euler_and_face_sums(any_network):
     assert g.n_vertices - g.n_edges + g.n_faces == 0
     for f in range(g.n_faces):
         assert g.face_displacement_sum(f) == (0, 0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_build_reads_the_bundled_json(name):
+    g, c = build(name)
+    g_json, _ = TorusGraph.load(fixture_path(name))
+    assert (g.edges, g.rotation, g.positions) == (g_json.edges, g_json.rotation, g_json.positions)
+    assert c == unit_conductances(g)
+
+
+def test_tri2_generic_carries_the_bundled_conductances():
+    assert tri2_generic()[1] == TorusGraph.load(fixture_path("tri2"))[1]
+
+
+def test_build_rejects_a_bundled_move_program():
+    with pytest.raises(KeyError, match="unknown fixture"):
+        build("tri2_cube_program")
 
 
 def test_null_homotopic_loop_rejected():

@@ -214,6 +214,11 @@ def test_program_json_round_trip():
     assert MoveProgram.from_json(prog.to_json()).to_json() == prog.to_json()
 
 
+def test_bundled_program_is_the_cube_recurrence_program():
+    bundled = json.loads(fixture_path("tri2_cube_program").read_text())
+    assert bundled == cube_recurrence_program(build("tri2")[0]).to_json()
+
+
 def test_cube_recurrence_program_runs(rng):
     g, _ = build("tri2")
     prog = cube_recurrence_program(g)
