@@ -203,7 +203,7 @@ def cmd_evolve(args) -> tuple[int, dict]:
     steps = args.steps if args.steps is not None else program.steps
     if args.random_conductances:
         c = random_rational_conductances(graph, random.Random(args.seed))
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = run_program(graph, c, program, steps)
     # past ~45 tri2 steps the conductances pass the int-to-str limit of 4300 digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -214,7 +214,7 @@ def cmd_evolve(args) -> tuple[int, dict]:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    data["elapsed_seconds"] = round(time.time() - t0, 3)
+    data["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     data["seed"] = args.seed
     return (0 if rep.conserved_constant and rep.strand_classes_preserved else 1), data
 

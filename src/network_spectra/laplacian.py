@@ -6,9 +6,13 @@ therefore contributes 2c and -c (chi^d + chi^-d) to its vertex's cell.
 ``build_laplacian`` sums these in integers: each row is scaled by the lcm of
 its conductances' denominators, so no Fraction is added.  The determinant is
 exact: a subset DP for n <= 8 or, above, interpolation on an integer grid, both
-over those integer rows, and one division at the end (``_det``).  The same
-engines give the resultants, and integer coefficient lists the gcds, that the
-spectral divisor is made of.
+over those integer rows, and one division at the end (``_det``).  From 4 rows
+up the engines get the rows with each column's and each row's content divided
+out, which the scale takes back (``_content_free``): conductances that a Y-Delta
+program evolves share long factors, and the smaller rows nearly halved the
+determinant at tri3x2, while below 4 rows the gcds cost more than the few
+products they shorten.  The same engines give the resultants, and integer
+coefficient lists the gcds, that the spectral divisor is made of.
 """
 
 from __future__ import annotations
@@ -90,38 +94,69 @@ def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> 
             x = c.numerator * (s // c.denominator)
             row[u][0, 0] = row[u].get((0, 0), 0) + x
             row[v][ij] = row[v].get(ij, 0) - x
-        rows.append(_normal_row([{k: x for k, x in e.items() if x} for e in row], 0, 0, s))
+        cells = [{k: x for k, x in e.items() if x} for e in row]
+        # With len(darts) + 1 nonzero cells, the diagonal is nonzero and every dart
+        # has an off-diagonal cell of its own, holding -x = -n s_u / q for its
+        # conductance n / q in lowest terms.  For a prime p of s_u, the dart whose q
+        # holds the most of p, as much as s_u does, has p in neither s_u / q nor n,
+        # so p does not divide its cell: gcd(s_u, cells) = 1 without computing it.
+        rows.append(_normal_row(cells, 0, 0, s, sum(map(len, cells)) == len(darts) + 1))
     return LaplacianMatrix(graph, dict(conductances), tuple(rows))
 
 
 def _det(rows: Sequence[IntRow]) -> LaurentPoly2:
     """Exact determinant, divided once: ``integer_det``'s D over its scale."""
     d, scale = integer_det(rows)
-    return LaurentPoly2({k: Fraction(c, scale) for k, c in d.items()})
+    p, q = scale.numerator, scale.denominator
+    return LaurentPoly2({k: Fraction(c * q, p) for k, c in d.items()})
 
 
-def integer_det(rows: Sequence[IntRow]) -> tuple[dict[Exponent, int], int]:
-    """det M as (D, s), integers D_ij != 0 and s > 0: det M = sum of D_ij z^i w^j / s.
+def integer_det(rows: Sequence[IntRow]) -> tuple[dict[Exponent, int], Fraction]:
+    """det M as (D, s), integers D_ij != 0 and a rational s > 0: det M = sum of
+    D_ij z^i w^j / s.
 
     Row u of M is z^a_u w^b_u / s_u times an integer polynomial row with exponents
     >= 0 (``LaplacianMatrix.rows``, ``minor_rows``, or ``_integer_row`` of a Laurent
-    row), and s is the product of the s_u.  The subset DP takes the determinant of
-    these rows for n <= 8, ``_det_grid`` above.  On a 2-core x86 host, with
+    row).  From 4 rows up, ``_content_free`` divides each column's content, then
+    each row's, out of the integer rows, and s is the product of the s_u over the
+    product k of those contents; below, k = 1.  The subset DP takes the determinant
+    of these rows for n <= 8, ``_det_grid`` above.  On a 2-core x86 host, with
     small signed conductances on lattices, the DP took 2-7 ms at n = 9 against
     3-5 ms on the grid, 37-62 ms at n = 12 against 12-13; with 1300-bit ones it
     won at every n (n = 9: 0.65-3.2 s against 6.5-16 s)."""
     ints = [r for r, *_ in rows]
     za, wb = sum(a for _, a, _, _ in rows), sum(b for *_, b, _ in rows)
+    ints, k = _content_free(ints) if len(ints) >= 4 else (ints, 1)
     d = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
-    return {(i + za, j + wb): c for (i, j), c in d.items()}, math.prod(s for *_, s in rows)
+    return {(i + za, j + wb): c for (i, j), c in d.items()}, Fraction(math.prod(s for *_, s in rows), k)
 
 
-def _normal_row(row: list[dict[Exponent, int]], a: int, b: int, s: int) -> IntRow:
+def _content_free(ints: Sequence[Sequence[dict]]) -> tuple[list[list[dict]], int]:
+    """(ints', k) with det ints = k * det ints': each column's content, then each
+    row's, divided out (a zero column or row keeps its cells).
+
+    Evolved conductances share large factors (the Laurent phenomenon of the
+    cluster dynamics), and so do the cells of a column or row.  On a 2-core x86
+    host, at tri3x2 step 10 of the ``evolve`` seed-1 draw, this cut the rows from
+    3864 to 2587 bits and ``integer_det`` from 35 to 18 ms; at tri2x2 step 14
+    from 6559 to 4381 bits and 10.7 to 8.0 ms.  Below 4 rows the determinant is a
+    handful of products, cheaper than these 2n gcd chains: with the pass at every
+    size, 40 tri2 steps took 0.38 s against 0.33."""
+    cols = [math.gcd(*(c for row in ints for c in row[j].values())) or 1 for j in range(len(ints))]
+    if any(g > 1 for g in cols):
+        ints = [[cell if g == 1 else {e: c // g for e, c in cell.items()} for cell, g in zip(row, cols)] for row in ints]
+    rows = [math.gcd(*(c for cell in row for c in cell.values())) or 1 for row in ints]
+    ints = [row if g == 1 else [{e: c // g for e, c in cell.items()} for cell in row] for row, g in zip(ints, rows)]
+    return ints, math.prod(cols) * math.prod(rows)
+
+
+def _normal_row(row: list[dict[Exponent, int]], a: int, b: int, s: int, coprime: bool = False) -> IntRow:
     """z^a w^b / s times ``row``, in ``_integer_row``'s form: the gcd of s and the
-    ints divided out and the least exponents (0 for a zero row) moved into a, b."""
+    ints divided out and the least exponents (0 for a zero row) moved into a, b.
+    ``coprime``: the caller knows that gcd to be 1, so it is not computed."""
     t = [(i, j, c) for e in row for (i, j), c in e.items()]
     da, db = min((i for i, _, _ in t), default=-a), min((j for _, j, _ in t), default=-b)
-    g = math.gcd(s, *(c for *_, c in t))
+    g = 1 if coprime else math.gcd(s, *(c for *_, c in t))
     if da == db == 0 and g == 1:
         return row, a, b, s
     return [{(i - da, j - db): c // g for (i, j), c in e.items()} for e in row], a + da, b + db, s // g

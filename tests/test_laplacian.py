@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from network_spectra import laplacian
 from network_spectra.errors import InputError, NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
-from network_spectra.graph_core import random_rational_conductances
+from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances
 from network_spectra.laplacian import (
     _det,
     _integer_row,
@@ -187,10 +188,43 @@ def _signed(g):
     return random_rational_conductances(g, random.Random(1), positive=False)
 
 
+@pytest.fixture(scope="module")
+def evolved():
+    """tri2's conductances after 12 steps of its cube program, spread over a
+    graph's edges: numerators and denominators sharing long factors, as in ``evolve``."""
+    g, _ = build("tri2")
+    prog = MoveProgram.load(fixture_path("tri2_cube_program"))
+    vals = list(run_program(g, random_rational_conductances(g, random.Random(1)), prog, 12).steps[-1].conductances.values())
+    return lambda graph: {e.id: vals[e.id % len(vals)] for e in graph.edges}
+
+
+def _zero_diagonal(g, c):
+    """``c`` with the edge of vertex 0's first dart set so that vertex 0's diagonal
+    cell, the sum over its darts (a loop's two darts both count), is 0."""
+    darts = [g.edge_of(d) for d in g.rotation[0]]
+    e = darts[0]
+    return {**c, e: -sum(c[x] for x in darts if x != e) / darts.count(e)}
+
+
+# build_laplacian skips the row gcd when a row has len(darts) + 1 nonzero cells;
+# these draws give rows on both sides of that test, on every fixture
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_rows_match_fraction_build_on_fixtures(name):
+def test_rows_match_fraction_build_on_fixtures(name, long_conductances, evolved):
     g, c = build(name)
-    for cond in (c, _signed(g)):
+    for cond in (c, _signed(g), long_conductances(g), evolved(g), _zero_diagonal(g, evolved(g))):
+        _assert_matches_reference(g, cond)
+
+
+def test_rows_match_fraction_build_with_merged_cells(evolved):
+    # hex1 with edge 0 doubled: the two parallel edges' darts share one cell of each
+    # row, whose sum can share a factor with the row scale (1/2 + 1/2 here), so that
+    # row's gcd must be taken
+    g, _ = build("hex1")
+    g = TorusGraph(2, [*g.edges, Edge(3, 0, 1, (0, 0))], {0: (0, 6, 2, 4), 1: (7, 1, 3, 5)})
+    halves = {0: Fraction(1, 2), 1: Fraction(1), 2: Fraction(1), 3: Fraction(1, 2)}
+    L, _ = _assert_matches_reference(g, halves)
+    assert [s for *_, s in L.rows] == [1, 1]  # the lcm 2 divided out
+    for cond in (_signed(g), evolved(g), _zero_diagonal(g, evolved(g))):
         _assert_matches_reference(g, cond)
 
 
@@ -346,6 +380,34 @@ def test_engines_match_leibniz_on_laplacian(lattice, long_conductances, engine):
     L = build_laplacian(g, long_conductances(g))
     assert L.size == 4
     assert _det_by(engine, L.rows) == _leibniz(L.entries)
+
+
+_PLANTED = 2**61 - 1
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_det_divides_planted_contents(engine, n):
+    # column 1 carries the factor 2^61 - 1, which row 0's scale shares, and row 2
+    # the factor 3^40: from 4 rows up the engine gets rows with both divided out,
+    # below it gets the rows as they are, and either way the scale puts them back
+    rng = random.Random(n)
+    ints = [[{(rng.randint(0, 1), rng.randint(0, 1)): rng.choice((-1, 1)) * rng.randint(1, 9) * (_PLANTED if j == 1 else 1)
+              * (3**40 if i == 2 else 1) for _ in range(2)} for j in range(n)] for i in range(n)]
+    rows = [(row, i - 1, 1 - i, 5 * _PLANTED if i == 0 else 7 + 2 * i) for i, row in enumerate(ints)]
+    entries = [[LaurentPoly2({(i + a, j + b): Fraction(c, s) for (i, j), c in cell.items()}) for cell in row]
+               for row, a, b, s in rows]
+    seen, real = [], getattr(laplacian, engine)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_det_dp", "_det_grid"):
+            mp.setattr(laplacian, name, lambda m: seen.append(m) or real(m))
+        assert _det(rows) == _leibniz(entries) != 0
+    (m,) = seen
+    if n < 4:
+        assert m == ints
+    else:
+        assert [math.gcd(*(c for row in m for c in row[j].values())) for j in range(n)] == [1] * n
+        assert [math.gcd(*(c for cell in row for c in cell.values())) for row in m] == [1] * n
 
 
 def _fraction_det(m):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from network_spectra.laplacian import build_laplacian, charpoly
 from network_spectra.ydelta import (
     Move,
     MoveProgram,
+    TrajectoryReport,
+    TrajectoryStep,
     apply_move,
     conserved_vector,
     cube_recurrence_program,
@@ -28,7 +31,7 @@ from network_spectra.ydelta import (
     run_program,
     y_to_delta,
 )
-from network_spectra.zigzag import zigzag_polygon
+from network_spectra.zigzag import StrandSystem, zigzag_polygon
 
 from test_graph_core import isomorphic
 
@@ -283,6 +286,55 @@ def test_closing_relabeling_check(lattice, size):
     a, b = g.n_vertices - 2, g.n_vertices - 1  # leaves vertex 0's image alone when V >= 3
     assert not is_isomorphism(final, g, {**vm, a: vm[b], b: vm[a]}, em)
     assert not is_isomorphism(final, g, {}, em)
+
+
+def _reference_run(graph, conductances, program, steps):
+    """``run_program`` as a per-step ``apply_move`` loop: every step redoes the surgery."""
+    c = {k: Fraction(v) for k, v in conductances.items()}
+    g = graph
+    for move in program.moves:
+        g, c, _ = apply_move(g, c, move)
+    classes = [sorted(s.homology for s in StrandSystem(h).strands) for h in (g, graph)]
+    c = {k: Fraction(v) for k, v in conductances.items()}
+    vec0, anchor = conserved_vector(graph, c)
+    out = [TrajectoryStep(0, dict(c), vec0)]
+    for n in range(1, steps + 1):
+        g = graph
+        for move in program.moves:
+            try:
+                g, c, _ = apply_move(g, c, move)
+            except SingularDenominator as exc:
+                raise SingularDenominator(f"step {n}: {exc}") from exc
+        c = {e: c[fe] for fe, e in program.iso_edges.items()}
+        out.append(TrajectoryStep(n, dict(c), conserved_vector(graph, c)[0]))
+    return TrajectoryReport(out, all(s.conserved == vec0 for s in out), anchor, classes[0] == classes[1])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("positive", [True, False], ids=["positive", "signed"])
+@pytest.mark.parametrize("size,steps", [(None, 10), ((2, 2), 6), ((3, 2), 4)], ids=["tri2", "tri2x2", "tri3x2"])
+def test_run_program_matches_per_step_moves(lattice, size, steps, positive, seed):
+    g, prog = _cube_program(lattice, size)
+    c = random_rational_conductances(g, random.Random(seed), positive=positive)
+    rep = run_program(g, c, prog, steps)
+    assert rep == _reference_run(g, c, prog, steps)
+    assert rep.conserved_constant and rep.strand_classes_preserved
+    assert len({frozenset(s.conductances.items()) for s in rep.steps}) == steps + 1
+
+
+@pytest.mark.parametrize("cond,message", [
+    ((1, -1, -1, -2, 1, 2), "step 2: AB + BC + CA = 0; the move is undefined here"),
+    ((1, 2, -3, -2, 3, 4), "step 3: a + b + c = 0; the move is undefined here"),
+])
+def test_singular_later_step_reported(cond, message):
+    # step 1 goes through; a later step's d2y or y2d divides by 0
+    g, _ = build("tri2")
+    prog = MoveProgram.load(fixture_path("tri2_cube_program"))
+    c = {e: Fraction(x) for e, x in enumerate(cond)}
+    assert len(run_program(g, c, prog, 1).steps) == 2
+    for run in (run_program, _reference_run):
+        with pytest.raises(SingularDenominator, match=rf"^{re.escape(message)}$"):
+            run(g, c, prog, 5)
 
 
 def test_singular_step_reported():
