@@ -225,6 +225,10 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     graph, c, stem = _load_network(args.input)
     if not 0 <= args.v0 < graph.n_vertices:
         raise InputError(f"vertex {args.v0} is out of range 0..{graph.n_vertices - 1}")
+    if args.grid < 1:
+        raise InputError(f"the grid {args.grid} is not positive")
+    if not args.radius > 0:
+        raise InputError(f"the radius {args.radius} is not positive")
     p = charpoly(build_laplacian(graph, c))
     cloud = spectral.amoeba(p, grid=args.grid, radius=args.radius)
     outdir = Path(args.out)

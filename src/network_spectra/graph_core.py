@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import Mapping, Sequence
 
 from .errors import GraphValidationError, InputError
@@ -376,11 +377,12 @@ class TorusGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        """Parse the interchange format; returns (graph, conductances or None)."""
+        """Parse the interchange format; returns (graph, conductances or None).  Ids,
+        tails, heads, darts and the two disp components must be JSON integers."""
         try:
             vertices = data["vertices"]
             n = len(vertices)
-            ids = sorted(v["id"] for v in vertices)
+            ids = sorted(index(v["id"]) for v in vertices)
             if ids != list(range(n)):
                 raise GraphValidationError("vertex ids must be 0..n-1")
             positions = {
@@ -390,11 +392,14 @@ class TorusGraph:
             conductances: dict[int, Fraction] = {}
             has_c = False
             for e in sorted(data["edges"], key=lambda e: e["id"]):
-                edges.append(Edge(e["id"], e["tail"], e["head"], tuple(e["disp"])))
+                disp = tuple(map(index, e["disp"]))
+                if len(disp) != 2:
+                    raise ValueError(f"edge {e['id']} has disp {e['disp']}; it needs two components")
+                edges.append(Edge(index(e["id"]), index(e["tail"]), index(e["head"]), disp))
                 if "conductance" in e:
                     has_c = True
                     conductances[e["id"]] = Fraction(str(e["conductance"]))
-            rotation = {int(v): tuple(ds) for v, ds in data["rotation"].items()}
+            rotation = {int(v): tuple(map(index, ds)) for v, ds in data["rotation"].items()}
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise InputError(f"malformed network: {type(exc).__name__}: {exc}") from None
         graph = cls(n, edges, rotation, positions=positions)

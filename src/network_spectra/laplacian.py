@@ -382,15 +382,19 @@ class NodeReport:
 
 
 def node_check(p: LaurentPoly2) -> NodeReport:
-    value = p.eval(1, 1)
-    pz = p.derivative("z")
-    pw = p.derivative("w")
-    grad = (pz.eval(1, 1), pw.eval(1, 1))
-    h11 = pz.derivative("z").eval(1, 1)
-    h12 = pz.derivative("w").eval(1, 1)
-    h22 = pw.derivative("w").eval(1, 1)
-    det = h11 * h22 - h12 * h12
-    return NodeReport(value, grad, ((h11, h12), (h12, h22)), det)
+    """P's value, gradient and Hessian at (z, w) = (1, 1), read off its terms in one
+    pass: with c_ij the coefficient of z^i w^j, they are the sums of c_ij weighted by
+    1, i, j (value, dP/dz, dP/dw) and i(i-1), ij, j(j-1) (the Hessian h11, h12, h22);
+    hessian_det = h11 h22 - h12^2."""
+    value = gz = gw = h11 = h12 = h22 = Fraction(0)
+    for (i, j), c in p.terms():
+        value += c
+        gz += i * c
+        gw += j * c
+        h11 += i * (i - 1) * c
+        h12 += i * j * c
+        h22 += j * (j - 1) * c
+    return NodeReport(value, (gz, gw), ((h11, h12), (h12, h22)), h11 * h22 - h12 * h12)
 
 
 def laplacian_matrix_at(L: LaplacianMatrix, z: complex, w: complex) -> np.ndarray:

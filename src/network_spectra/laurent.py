@@ -1,9 +1,12 @@
 """Exact bivariate Laurent polynomials over rationals and lattice polygons.
 
 Coefficients are ``fractions.Fraction`` throughout; floats are rejected so
-that every identity checked downstream is an exact equality.  Polynomials are
-sparse maps from exponent pairs ``(i, j)`` to nonzero coefficients, with a
-deterministic (sorted) term order for serialization.
+that every identity checked downstream is an exact equality.  A polynomial is
+a sparse map from exponent pairs ``(i, j)`` to coefficients, with a
+deterministic (sorted) term order for serialization.  Its one invariant is
+that every stored coefficient is a nonzero ``Fraction``: ``__init__`` keeps it
+for caller input, and every operation builds its result through the one
+private constructor ``LaurentPoly2._normal``, which drops zero terms.
 """
 
 from __future__ import annotations
@@ -35,17 +38,17 @@ class LaurentPoly2:
 
     def __init__(self, coeffs: Mapping[Exponent, object] | None = None):
         c: dict[Exponent, Fraction] = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                v = _as_coeff(v)
-                if v:
-                    key = (int(i), int(j))
-                    s = c.get(key, Fraction(0)) + v
-                    if s:
-                        c[key] = s
-                    elif key in c:
-                        del c[key]
-        self._c = c
+        for (i, j), v in (coeffs or {}).items():
+            key, v = (int(i), int(j)), _as_coeff(v)
+            c[key] = c[key] + v if key in c else v
+        self._c = {k: v for k, v in c.items() if v}
+
+    @staticmethod
+    def _normal(c: dict[Exponent, Fraction]) -> "LaurentPoly2":
+        """The polynomial of an exponent -> Fraction dict, its zero terms dropped."""
+        out = LaurentPoly2.__new__(LaurentPoly2)
+        out._c = {k: v for k, v in c.items() if v}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -122,21 +125,13 @@ class LaurentPoly2:
             return NotImplemented
         c = dict(self._c)
         for k, v in other._c.items():
-            s = c.get(k, Fraction(0)) + v
-            if s:
-                c[k] = s
-            elif k in c:
-                del c[k]
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._c = c
-        return out
+            c[k] = c[k] + v if k in c else v
+        return LaurentPoly2._normal(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly2":
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
+        return LaurentPoly2._normal({k: -v for k, v in self._c.items()})
 
     def __sub__(self, other) -> "LaurentPoly2":
         other = self._coerce(other)
@@ -150,23 +145,15 @@ class LaurentPoly2:
     def __mul__(self, other) -> "LaurentPoly2":
         if isinstance(other, (int, Fraction)):
             v = _as_coeff(other)
-            out = LaurentPoly2.__new__(LaurentPoly2)
-            out._c = {} if not v else {k: c * v for k, c in self._c.items()}
-            return out
+            return LaurentPoly2._normal({k: c * v for k, c in self._c.items()})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         c: dict[Exponent, Fraction] = {}
         for (i1, j1), v1 in self._c.items():
             for (i2, j2), v2 in other._c.items():
                 k = (i1 + i2, j1 + j2)
-                s = c.get(k, Fraction(0)) + v1 * v2
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._c = c
-        return out
+                c[k] = c[k] + v1 * v2 if k in c else v1 * v2
+        return LaurentPoly2._normal(c)
 
     __rmul__ = __mul__
 
@@ -182,24 +169,15 @@ class LaurentPoly2:
 
     def involution(self) -> "LaurentPoly2":
         """Substitute (z, w) -> (1/z, 1/w); an involution on the ring."""
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._c = {(-i, -j): v for (i, j), v in self._c.items()}
-        return out
+        return LaurentPoly2._normal({(-i, -j): v for (i, j), v in self._c.items()})
 
     def derivative(self, var: str) -> "LaurentPoly2":
         """Formal partial derivative with respect to ``"z"`` or ``"w"``."""
-        if var not in ("z", "w"):
-            raise ValueError(f"unknown variable {var!r}")
-        c: dict[Exponent, Fraction] = {}
-        for (i, j), v in self._c.items():
-            e = i if var == "z" else j
-            if e == 0:
-                continue
-            k = (i - 1, j) if var == "z" else (i, j - 1)
-            c[k] = v * e
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._c = c
-        return out
+        if var == "z":
+            return LaurentPoly2._normal({(i - 1, j): i * v for (i, j), v in self._c.items()})
+        if var == "w":
+            return LaurentPoly2._normal({(i, j - 1): j * v for (i, j), v in self._c.items()})
+        raise ValueError(f"unknown variable {var!r}")
 
     def eval(self, z, w):
         """Evaluate at nonzero z, w (exact for Fraction/int, complex otherwise)."""

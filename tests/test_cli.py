@@ -213,6 +213,10 @@ def _malformed(tmp_path, case):
     elif case == "zero-conductance":
         data["edges"][0]["conductance"] = "0"
         net.write_text(json.dumps(data))
+    elif case in _BAD_FIELDS:
+        where, key, value = _BAD_FIELDS[case]
+        (data["rotation"]["0"] if where == "rotation" else data["edges"][0])[key] = value
+        net.write_text(json.dumps(data))
     elif case == "unknown-op":
         prog = tmp_path / "prog.json"
         prog.write_text(json.dumps({"moves": [{"op": "flip", "vertex": 0}],
@@ -227,15 +231,36 @@ def _malformed(tmp_path, case):
     return ["charpoly", str(net)]
 
 
+# case -> (where, key, value): one field of sq1's edge 0, or dart 0 of vertex 0's rotation
+_BAD_FIELDS = {
+    "short-disp": ("edge", "disp", [1]),
+    "long-disp": ("edge", "disp", [1, 0, 5]),
+    "string-disp": ("edge", "disp", "ab"),
+    "float-disp": ("edge", "disp", [0.5, 0]),
+    "string-tail": ("edge", "tail", "0"),
+    "string-dart": ("rotation", 0, "x"),
+}
+
+
 def _program() -> dict:
     return json.loads(fixture_path("tri2_cube_program").read_text())
 
 
 @pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op", "bad-steps",
-                                  "negative-steps", "negative-steps-flag"])
+                                  "negative-steps", "negative-steps-flag", *_BAD_FIELDS])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert run(tmp_path, *_malformed(tmp_path, case)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_well_typed_invalid_graph_exit_1(tmp_path, capsys):
+    # integer fields that break a face's displacement sum: a validation failure, not bad input
+    data = build("tri2")[0].to_json_dict()
+    data["edges"][0]["disp"][0] += 2
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(data))
+    assert run(tmp_path, "validate", str(net)) == 1
+    assert capsys.readouterr().err.startswith("check failed: GraphValidationError: face 0: displacement sum")
 
 
 def test_evolve_steps_from_program(tmp_path):
@@ -260,6 +285,10 @@ def test_evolve_steps_from_program(tmp_path):
         ["ydelta", "tri2", "--d2y", "-1"],
         ["abel", "tri2", "--window", "-1"],
         ["ocrsf-check", "hex1", "--draws", "-3"],
+        ["amoeba", "tri2", "--grid", "0"],
+        ["amoeba", "tri2", "--grid", "-1"],
+        ["amoeba", "tri2", "--radius", "0"],
+        ["amoeba", "tri2", "--radius", "-1"],
     ],
     ids=" ".join,
 )

@@ -13,6 +13,7 @@ from network_spectra.errors import InputError, NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances
 from network_spectra.laplacian import (
+    NodeReport,
     _det,
     _integer_row,
     build_laplacian,
@@ -117,6 +118,53 @@ def test_node_report_non_curve_point():
     rep = node_check(LaurentPoly2.monomial(1, 0))
     assert rep.value == 1
     assert not rep.on_curve and not rep.is_node
+
+
+def _node_by_derivatives(p):
+    """The node's jet from derivative polynomials evaluated at (1, 1): the reference
+    that node_check's weighted coefficient sums must reproduce."""
+    value = p.eval(1, 1)
+    pz = p.derivative("z")
+    pw = p.derivative("w")
+    grad = (pz.eval(1, 1), pw.eval(1, 1))
+    h11 = pz.derivative("z").eval(1, 1)
+    h12 = pz.derivative("w").eval(1, 1)
+    h22 = pw.derivative("w").eval(1, 1)
+    det = h11 * h22 - h12 * h12
+    return NodeReport(value, grad, ((h11, h12), (h12, h22)), det)
+
+
+def _assert_node_matches_reference(p):
+    rep, ref = node_check(p), _node_by_derivatives(p)
+    assert rep == ref and rep.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_node_check_matches_derivatives_on_fixtures(name):
+    g, c = build(name)
+    _assert_node_matches_reference(charpoly(build_laplacian(g, c)))
+
+
+@pytest.mark.parametrize("positive", [True, False], ids=["positive", "signed"])
+@pytest.mark.parametrize("kind,m,n", [("sq", 2, 2), ("tri", 2, 2), ("sq", 3, 2), ("tri", 3, 2), ("sq", 3, 3),
+                                      ("tri", 3, 3), ("sq", 4, 3), ("tri", 4, 3)])
+def test_node_check_matches_derivatives_on_lattices(lattice, kind, m, n, positive):
+    g = lattice(kind, m, n)
+    p = charpoly(build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=positive)))
+    _assert_node_matches_reference(p)
+
+
+_node_polys = st.builds(LaurentPoly2, st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)), max_size=8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_node_polys)
+@example(LaurentPoly2.zero())
+@example(LaurentPoly2({(-3, 2): Fraction(7, 999983), (1, -1): -2, (0, 0): Fraction(1, 3)}))
+def test_node_check_matches_derivatives_on_draws(p):
+    _assert_node_matches_reference(p)
 
 
 def test_principal_minor_hex1():

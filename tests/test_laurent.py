@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from network_spectra.errors import NetworkSpectraError
 from network_spectra.laurent import ONE, LaurentPoly2, NewtonPolygon, W, Z
@@ -43,6 +45,32 @@ def test_canonical_form_drops_zeros():
     p = LaurentPoly2({(0, 0): 1, (2, 3): 0})
     assert len(p) == 1
     assert p.coeff(2, 3) == 0
+
+
+_exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_coeffs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
+_polys = st.builds(LaurentPoly2, st.dictionaries(_exponents, _coeffs, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_polys, _polys, _exponents, _coeffs)
+@example(ONE, Z, (1, 0), Fraction(1))  # (1 + z) * (1 - z) cancels z inside one product
+@example(LaurentPoly2.zero(), ONE, (1, -1), Fraction(-3))
+def test_operations_keep_only_nonzero_fractions(p, q, k, x):
+    m = LaurentPoly2.monomial(*k, x)
+    partner = -p + m  # cancels every term of p except where m sits
+    results = [
+        p + q, p + partner, partner + p, p - q, p - p, p - partner, -p, -partner,
+        p * q, p * partner, (p + m) * (p - m), (p + m) * (p + m) - m * m,
+        p * 0, 0 * p, p * Fraction(0), p * x, x * p,
+        p.involution(), partner.involution(),
+        p.derivative("z"), p.derivative("w"), partner.derivative("z"), partner.derivative("w"),
+    ]
+    for r in results:
+        assert all(type(v) is Fraction and v != 0 for _, v in r.terms())
+    assert p + partner == m
+    assert len(p + (-p)) == 0 and p + (-p) == 0
+    assert len(p * 0) == 0 and p * 0 == 0
 
 
 def test_floats_rejected():
