@@ -5,7 +5,8 @@ every other failure raises ``NetworkSpectraError`` with its own message.
 """
 
 # The one bound on the exact enumerations, in edges: the 2^E forest enumerations
-# and the dimer-cover search, whose white vertices are the edges.
+# and the dimer-cover search, whose white vertices are the edges.  No option or
+# parameter overrides it.
 SIZE_BOUND = 24
 
 
@@ -26,9 +27,9 @@ class TooLarge(NetworkSpectraError):
     """An exact routine's input exceeds its size bound."""
 
 
-def check_size(count: int, what: str, bound: int) -> None:
-    if count > bound:
-        raise TooLarge(f"{count} {what} exceeds the size bound {bound}")
+def check_size(count: int, what: str) -> None:
+    if count > SIZE_BOUND:
+        raise TooLarge(f"{count} {what} exceeds the size bound {SIZE_BOUND}")
 
 
 class SingularDenominator(NetworkSpectraError):

@@ -4,9 +4,11 @@ oracle, dual pairs, and the fan constructions for boundary classes.
 An oriented OCRSF is stored as its successor function ``out``: one outgoing
 dart per vertex, no edge used twice.  Each component of such a function holds
 exactly one cycle and its tree darts point toward it, so the oriented OCRSFs
-are exactly the successor functions.  ``_successors`` enumerates them by
-backtracking over the vertices (a loop's two darts are its two orientations),
-and ``_forest`` walks one to read off its cycles and their classes.
+are exactly the successor functions.  ``distinct_choices`` is the package's one
+backtracking search.  ``_successors`` runs it over the vertices with darts keyed
+by edge (a loop's two darts are its two orientations), ``enumerate_dimers`` over
+the whites with darts keyed by their black head.  ``_forest`` walks a successor
+function to read off its cycles and their classes.
 
 A dual pair's dual forest uses the dual edges of the primal forest's
 complement, so the dual forests are the dual graph's successor functions on
@@ -15,7 +17,8 @@ the complement edges.  A primal forest with a contractible cycle (class
 edges.  ``enumerate_dual_pairs`` still raises on such a forest instead of
 skipping it, with an explicit ``raise`` so that ``python -O`` keeps it: the
 benchmark in ``perfbench/`` lists this failure as known by its text, and
-skipping the forest belongs with the benchmark's re-baseline.
+skipping the forest belongs with the benchmark's re-baseline.  It raises at
+the first such forest in the search's order, so that order must not change.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import SIZE_BOUND, NetworkSpectraError, check_size
+from .errors import NetworkSpectraError, check_size
 from .graph_core import TorusGraph, Vec, vadd
 from .laurent import LaurentPoly2, NewtonPolygon
 from .zigzag import StrandSystem, fans, zigzag_polygon
@@ -60,31 +63,33 @@ class OrientedForest:
         return sum(map(len, self.cycles)) == len(self.out)
 
 
-def _successors(graph: TorusGraph, allowed: frozenset[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """Every successor function, by backtracking over the vertices in order.
+def distinct_choices(options: Sequence[Sequence[tuple[object, Hashable]]]) -> Iterator[tuple]:
+    """Every tuple with one item per slot and no key taken twice, depth first:
+    ``options[k]`` lists slot k's ``(item, key)`` pairs, tried in list order."""
+    chosen: list = [None] * len(options)
+    used: set = set()
 
-    Each vertex takes an outgoing dart whose edge no earlier vertex took, on
-    the ``allowed`` edges only when they are given.
-    """
-    choices = [
-        [d for d in graph.rotation.get(v, ()) if allowed is None or d >> 1 in allowed]
-        for v in range(graph.n_vertices)
-    ]
-    out = [0] * graph.n_vertices
-    used: set[int] = set()
-
-    def extend(v: int) -> Iterator[tuple[int, ...]]:
-        if v == len(out):
-            yield tuple(out)
+    def extend(k: int) -> Iterator[tuple]:
+        if k == len(options):
+            yield tuple(chosen)
             return
-        for d in choices[v]:
-            if d >> 1 not in used:
-                used.add(d >> 1)
-                out[v] = d
-                yield from extend(v + 1)
-                used.remove(d >> 1)
+        for item, key in options[k]:
+            if key not in used:
+                used.add(key)
+                chosen[k] = item
+                yield from extend(k + 1)
+                used.remove(key)
 
     return extend(0)
+
+
+def _successors(graph: TorusGraph, allowed: frozenset[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Every successor function: each vertex takes an outgoing dart, on the
+    ``allowed`` edges only when they are given, and no edge twice."""
+    return distinct_choices([
+        [(d, d >> 1) for d in graph.rotation.get(v, ()) if allowed is None or d >> 1 in allowed]
+        for v in range(graph.n_vertices)
+    ])
 
 
 def _forest(graph: TorusGraph, out: tuple[int, ...]) -> OrientedForest:
@@ -109,16 +114,14 @@ def _forest(graph: TorusGraph, out: tuple[int, ...]) -> OrientedForest:
     return OrientedForest(out, tuple(cycles), tuple(classes))
 
 
-def _ocrsfs(graph: TorusGraph, max_edges: int) -> Iterator[OrientedForest]:
-    check_size(graph.n_edges, "edges", max_edges)
+def _ocrsfs(graph: TorusGraph) -> Iterator[OrientedForest]:
+    check_size(graph.n_edges, "edges")
     return (_forest(graph, out) for out in _successors(graph))
 
 
-def enumerate_ocrsfs(
-    graph: TorusGraph, max_edges: int = SIZE_BOUND
-) -> list[OrientedForest]:
+def enumerate_ocrsfs(graph: TorusGraph) -> list[OrientedForest]:
     """All OCRSFs, one per successor function."""
-    return list(_ocrsfs(graph, max_edges))
+    return list(_ocrsfs(graph))
 
 
 def pfnlap_sum(
@@ -188,9 +191,7 @@ def _dual_forests(dual: TorusGraph, primal: OrientedForest) -> list[OrientedFore
     return forests
 
 
-def enumerate_dual_pairs(
-    graph: TorusGraph, max_edges: int = SIZE_BOUND
-) -> list[DualPair]:
+def enumerate_dual_pairs(graph: TorusGraph) -> list[DualPair]:
     """All (primal OCRSF, crossing-free dual OCRSF) pairs.
 
     The dual edge set is forced to be the complement; only the dual cycle
@@ -198,17 +199,15 @@ def enumerate_dual_pairs(
     """
     dual = graph.dual()
     pairs = []
-    for primal in _ocrsfs(graph, max_edges):
+    for primal in _ocrsfs(graph):
         if (0, 0) in primal.cycle_classes:
             raise AssertionError("dual complement misses faces")
         pairs.extend(DualPair.build(primal, d) for d in _dual_forests(dual, primal))
     return pairs
 
 
-def dual_pair_hull(
-    graph: TorusGraph, max_edges: int = SIZE_BOUND
-) -> NewtonPolygon:
-    return NewtonPolygon.from_points(p.cls for p in enumerate_dual_pairs(graph, max_edges))
+def dual_pair_hull(graph: TorusGraph) -> NewtonPolygon:
+    return NewtonPolygon.from_points(p.cls for p in enumerate_dual_pairs(graph))
 
 
 # -- extremal and external constructions ----------------------------------------

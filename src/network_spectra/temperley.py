@@ -4,7 +4,8 @@ A dimer cover is a perfect matching of the superposition graph, stored as a
 set of its edge ids.  The matching induced by a dual pair puts each white ON
 THE TAIL SIDE of the oriented primal or dual edge covering it: edge u -> v in
 the forest matches (u, white); dual edge f -> f' in the dual forest matches
-(f, white).
+(f, white).  ``enumerate_dimers`` runs the package's one backtracking search,
+``forests.distinct_choices``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import SIZE_BOUND, NetworkSpectraError, check_size
-from .forests import DualPair, _dual_forests, extremal_table
+from .errors import NetworkSpectraError, check_size
+from .forests import DualPair, _dual_forests, distinct_choices, extremal_table
 from .graph_core import SuperposedGraph, TorusGraph, Vec, vadd, vsub
 from .laurent import NewtonPolygon
 
@@ -30,35 +31,17 @@ class DimerCover:
         return w
 
 
-def enumerate_dimers(sup: SuperposedGraph, max_edges: int = SIZE_BOUND) -> list[DimerCover]:
-    """All perfect matchings, by backtracking over white vertices.  The whites are
-    the base graph's edges, so the size bound counts edges."""
+def enumerate_dimers(sup: SuperposedGraph) -> list[DimerCover]:
+    """All perfect matchings: ``distinct_choices`` over the white vertices in
+    order, each white's darts keyed by their black head.  The whites are the
+    base graph's edges, so the size bound counts edges."""
     g = sup.graph
     blacks, whites = sup.color_classes()
-    check_size(len(whites), "edges", max_edges)
+    check_size(len(whites), "edges")
     if len(blacks) != len(whites):
         return []
-    out: list[DimerCover] = []
-    chosen: list[int] = []
-    used_black: set[int] = set()
-
-    def backtrack(k: int) -> None:
-        if k == len(whites):
-            out.append(DimerCover(frozenset(chosen)))
-            return
-        w = whites[k]
-        for d in g.rotation[w]:
-            b = g.head_of(d)
-            if b in used_black:
-                continue
-            used_black.add(b)
-            chosen.append(g.edge_of(d))
-            backtrack(k + 1)
-            chosen.pop()
-            used_black.remove(b)
-
-    backtrack(0)
-    return out
+    options = [[(g.edge_of(d), g.head_of(d)) for d in g.rotation[w]] for w in whites]
+    return [DimerCover(frozenset(edges)) for edges in distinct_choices(options)]
 
 
 def temperley_map(sup: SuperposedGraph, pair: DualPair) -> DimerCover:

@@ -496,7 +496,7 @@ def _corner_increment(sys: StrandSystem, v: int, corner: int):
 
 def discrete_abel(
     graph: TorusGraph,
-    base: tuple[str, int] | int = ("vertex", 0),
+    base: tuple[str, int] = ("vertex", 0),
     window: tuple[tuple[int, int], tuple[int, int]] = ((-1, 1), (-1, 1)),
 ) -> AbelChart:
     """Breadth-first strand-coordinate transport over a universal-cover window.
@@ -507,8 +507,6 @@ def discrete_abel(
     lift, translate (0, 0); then the search compares every adjacency inside it,
     and a mismatch raises NetworkSpectraError.
     """
-    if isinstance(base, int):
-        base = ("vertex", base)
     count = {"vertex": graph.n_vertices, "face": graph.n_faces}.get(base[0], 0)
     if not 0 <= base[1] < count:
         raise InputError(f"{base[0]} {base[1]} is out of range 0..{count - 1}")

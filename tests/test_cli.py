@@ -146,7 +146,8 @@ def test_reports_byte_stable(tmp_path):
 
 
 def test_usage_error_exit_2():
-    for argv in (["no-such-command", "x"], ["charpoly", "sq1", "--seed", "1"]):
+    # --seed lives on two subcommands only, and none takes --bound
+    for argv in (["no-such-command", "x"], ["charpoly", "sq1", "--seed", "1"], ["newton", "tri2", "--bound", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -175,8 +176,8 @@ def test_check_failure_exit_1(tmp_path):
 
 def test_ocrsf_check_enumerates_once(tmp_path, monkeypatch):
     calls = []
-    successors = forests_mod._successors
-    monkeypatch.setattr(forests_mod, "_successors", lambda *a: calls.append(a) or successors(*a))
+    search = forests_mod.distinct_choices
+    monkeypatch.setattr(forests_mod, "distinct_choices", lambda options: calls.append(options) or search(options))
     assert run(tmp_path, "ocrsf-check", "tri2", "--draws", "2") == 0
     assert len(calls) == 1
 
@@ -289,6 +290,7 @@ def test_evolve_steps_from_program(tmp_path):
         ["amoeba", "tri2", "--grid", "-1"],
         ["amoeba", "tri2", "--radius", "0"],
         ["amoeba", "tri2", "--radius", "-1"],
+        ["amoeba", "tri2", "--radius", "inf"],
     ],
     ids=" ".join,
 )
@@ -299,10 +301,20 @@ def test_out_of_range_id_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["newton", "ocrsf-check", "temperley-check"])
-def test_size_bound(tmp_path, capsys, command):
-    # the bound counts edges; the determinant has none
-    assert run(tmp_path, command, "tri2", "--bound", "1") == 1
-    assert "check failed: TooLarge: " in capsys.readouterr().err
+def test_size_bound(tmp_path, capsys, lattice, command):
+    # the bound counts edges; the determinant has none, so charpoly runs first
+    path = tmp_path / "sq4x4.json"
+    lattice("sq", 4, 4).save(path)
+    assert run(tmp_path, command, str(path)) == 1
+    assert "check failed: TooLarge: 32 edges exceeds the size bound 24" in capsys.readouterr().err
+
+
+def test_amoeba_empty_cloud_fails(tmp_path):
+    # every fiber of a radius-5000 sweep overflows, so nothing is left to check
+    assert run(tmp_path, "amoeba", "tri2", "--grid", "8", "--radius", "5000") == 1
+    data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
+    assert data["points"] == 0
+    assert data["skipped_fibers"] > 0
 
 
 def test_amoeba_hole_count_from_divisor(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from network_spectra import forests as forests_mod
 from network_spectra import laplacian
 from network_spectra.errors import NetworkSpectraError, TooLarge
-from network_spectra.fixtures import build
+from network_spectra.fixtures import FIXTURE_NAMES, build
 from network_spectra.forests import (
     boundary_point_counts,
     dual_pair_hull,
@@ -55,10 +55,12 @@ def test_component_balance():
         assert all(g.tail_of(d) == v for v, d in enumerate(f.out))
 
 
-def test_enumeration_bound():
-    g, _ = build("tri2")
-    with pytest.raises(TooLarge):
-        enumerate_ocrsfs(g, max_edges=3)
+def test_enumeration_bound(lattice):
+    g = lattice("sq", 4, 4)
+    with pytest.raises(TooLarge, match=r"^32 edges exceeds the size bound 24$"):
+        enumerate_ocrsfs(g)
+    with pytest.raises(TooLarge, match=r"^32 edges exceeds the size bound 24$"):
+        enumerate_dual_pairs(g)
 
 
 def test_pfnlap_sq1_unit():
@@ -299,3 +301,68 @@ def test_contractible_cycle_raises_before_dual_forests(lattice, monkeypatch, kin
     monkeypatch.setattr(forests_mod, "_dual_forests", dual_forests)
     with pytest.raises(AssertionError, match=r"^dual complement misses faces$"):
         enumerate_dual_pairs(lattice(kind, m, n))
+
+
+def reference_successors(graph, allowed=None):
+    """The recursive backtracker that ``distinct_choices`` replaced, kept as the
+    reference for its output and order."""
+    choices = [
+        [d for d in graph.rotation.get(v, ()) if allowed is None or d >> 1 in allowed]
+        for v in range(graph.n_vertices)
+    ]
+    out = [0] * graph.n_vertices
+    used = set()
+
+    def extend(v):
+        if v == len(out):
+            yield tuple(out)
+            return
+        for d in choices[v]:
+            if d >> 1 not in used:
+                used.add(d >> 1)
+                out[v] = d
+                yield from extend(v + 1)
+                used.remove(d >> 1)
+
+    return extend(0)
+
+
+SEARCH_INPUTS = [*FIXTURE_NAMES, "sq2x2", "tri2x2", "sq3x2"]
+
+
+def search_input(lattice, name):
+    """A bundled fixture's graph, or a generated lattice named like ``sq2x2``."""
+    if name in FIXTURE_NAMES:
+        return build(name)[0]
+    m, n = name[-3], name[-1]
+    return lattice(name[:-3], int(m), int(n))
+
+
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_successors_match_reference_backtracker(lattice, name):
+    g = search_input(lattice, name)
+    assert list(forests_mod._successors(g)) == list(reference_successors(g))
+
+
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_dual_forests_match_reference_backtracker(lattice, name):
+    g = search_input(lattice, name)
+    dual = g.dual()
+    checked = 0
+    for primal in enumerate_ocrsfs(g):
+        if (0, 0) in primal.cycle_classes:
+            continue
+        complement = frozenset(range(dual.n_edges)) - primal.edges
+        expected = list(reference_successors(dual, complement))
+        assert [f.out for f in forests_mod._dual_forests(dual, primal)] == expected
+        checked += 1
+    assert checked > 0
+
+
+def test_distinct_choices_order():
+    options = [[("a", 0), ("b", 1)], [("c", 0), ("d", 1), ("e", 2)], []]
+    assert list(forests_mod.distinct_choices(options[:2])) == [
+        ("a", "d"), ("a", "e"), ("b", "c"), ("b", "e"),
+    ]
+    assert list(forests_mod.distinct_choices(options)) == []
+    assert list(forests_mod.distinct_choices([])) == [()]

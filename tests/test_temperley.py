@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from network_spectra.errors import TooLarge
-from network_spectra.fixtures import build
+from network_spectra.fixtures import FIXTURE_NAMES, build
 from network_spectra.forests import enumerate_dual_pairs
 from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances
 from network_spectra.temperley import (
+    DimerCover,
     dimer_class,
     dimer_homology,
     dimer_newton_polygon,
@@ -28,8 +29,8 @@ def test_hex1_dimer_count_matches_pairs():
 
 
 def test_unbalanced_graph_has_no_matchings():
-    # a path graph on the torus-like wrapper is not needed; use the raw
-    # backtracker on a superposition with a white removed via bound trickery
+    # a path graph on the torus-like wrapper is not needed; lie about the
+    # color classes of a real superposition so that one white is missing
     g, _ = build("sq1")
     sup = g.superpose()
     # fake unbalance by lying about the color classes
@@ -45,10 +46,51 @@ def test_unbalanced_graph_has_no_matchings():
     assert enumerate_dimers(Unbalanced()) == []
 
 
-def test_matching_bound():
-    g, _ = build("tri2")
-    with pytest.raises(TooLarge):
-        enumerate_dimers(g.superpose(), max_edges=2)
+def test_matching_bound(lattice):
+    sup = lattice("sq", 4, 4).superpose()
+    with pytest.raises(TooLarge, match=r"^32 edges exceeds the size bound 24$"):
+        enumerate_dimers(sup)
+
+
+def reference_dimers(sup):
+    """The backtracker over white vertices that ``distinct_choices`` replaced,
+    kept as the reference for its output and order."""
+    g = sup.graph
+    blacks, whites = sup.color_classes()
+    if len(blacks) != len(whites):
+        return []
+    out = []
+    chosen = []
+    used_black = set()
+
+    def backtrack(k):
+        if k == len(whites):
+            out.append(DimerCover(frozenset(chosen)))
+            return
+        for d in g.rotation[whites[k]]:
+            b = g.head_of(d)
+            if b in used_black:
+                continue
+            used_black.add(b)
+            chosen.append(g.edge_of(d))
+            backtrack(k + 1)
+            chosen.pop()
+            used_black.remove(b)
+
+    backtrack(0)
+    return out
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "sq2x2", "tri2x2", "sq3x2"])
+def test_dimers_match_reference_backtracker(lattice, name):
+    if name in FIXTURE_NAMES:
+        g, _ = build(name)
+    else:
+        g = lattice(name[:-3], int(name[-3]), int(name[-1]))
+    sup = g.superpose()
+    covers = enumerate_dimers(sup)
+    assert covers == reference_dimers(sup)
+    assert len(covers) > 0
 
 
 def test_bijection(any_network):
