@@ -249,6 +249,7 @@ def cmd_amoeba(args) -> tuple[int, dict]:
     data = {
         "points": len(cloud.samples),
         "skipped_fibers": cloud.skipped_fibers,
+        "dropped_roots": cloud.dropped_roots,
         "holes": holes,
         "divisor_error": divisor_error,
         "symmetry_defect": cloud.symmetric_defect(),

@@ -16,7 +16,9 @@ No Fraction is converted per evaluation: fibers read the float coefficient
 matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
 cached on the view), kernel vectors the arrays of ``LaplacianMatrix.darts``.
 One solver, ``fibers``, finds the roots of a whole array of fibers with one
-stacked eigenvalue call; the amoeba makes one call per sweep direction.
+stacked eigenvalue call.  The amoeba cloud is one (N, 2) array of (log|z|,
+log|w|), built from one call per sweep direction; an amoeba slice takes one call
+for its two fibers over z = +-e^x and one for the fibers over all its gaps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ CORANK_TOL = 1e-6        # relative size of the second-smallest singular value a
 BALANCE_SWEEPS = 4       # Osborne sweeps that balance the Laplacian before its SVD
 REAL_TOL = Fraction(1, 10**7)  # a root is real within this, relative; the divisor certifies at r (1 -+ it)
 DEFECT_BINS = 40         # occupancy grid of the symmetry defect, per axis
+AMOEBA_PHASES = 24       # sweep values per circle |z| = e^t (and |w| = e^t)
 SVG_SIZE = 600
 
 log = logging.getLogger(__name__)
@@ -62,34 +65,36 @@ def fibers(p: LaurentPoly2 | FloatView, zs: Sequence[complex],
     One ``np.linalg.eigvals`` call takes the stacked companion matrices, then Newton
     polishes every (fiber, root) pair at once: a root stops at |p| <= tol * scale,
     at a zero derivative, or after POLISH_ITERS steps (one DEBUG line per fiber).
+    Past float range fibers are masked or give 0 roots, silently: callers count them.
     """
     f = p.floats()
     z = np.asarray(zs, dtype=complex)
-    a, s = f.fiber(np.where(z == 0, 1, z))
-    ok = (z != 0) & (np.abs(a[:, -1]) > 1e-13 * s[:, -1]) & (np.abs(a[:, 0]) > 1e-13 * s[:, 0])
-    d = a.shape[1] - 1
-    companion = np.zeros((ok.sum(), d, d), complex)
-    companion[:, :1] = (-a[ok, -2::-1] / a[ok, -1:])[:, None]
-    companion[:, range(1, d), range(d - 1)] = 1
-    w = np.zeros((len(z), d), complex)
-    w[ok] = np.linalg.eigvals(companion)
-    e = np.arange(f.jmin, f.jmin + d + 1)
-    da, flat = a * e, w.reshape(-1)
-    todo = np.flatnonzero(np.repeat(ok, d))
-    for _ in range(POLISH_ITERS):
-        wt, row = flat[todo, None], todo // d
-        below = wt ** (e - 1)
-        powers = below * wt
-        val = np.einsum("km,km->k", powers, a[row])
-        dv = np.einsum("km,km->k", below, da[row])
-        go = (np.abs(val) > tol * np.einsum("km,km->k", np.abs(powers), s[row])) & (dv != 0)
-        todo = todo[go]
-        if not len(todo):
-            break
-        flat[todo] -= val[go] / dv[go]
-    else:
-        for i, n in zip(*np.unique(todo // d, return_counts=True)):
-            log.debug("fiber at z = %s: %d of %d roots hit the polish cap", z[i], n, d)
+    with np.errstate(all="ignore"):
+        a, s = f.fiber(np.where(z == 0, 1, z))
+        ok = (z != 0) & (np.abs(a[:, -1]) > 1e-13 * s[:, -1]) & (np.abs(a[:, 0]) > 1e-13 * s[:, 0])
+        d = a.shape[1] - 1
+        companion = np.zeros((ok.sum(), d, d), complex)
+        companion[:, :1] = (-a[ok, -2::-1] / a[ok, -1:])[:, None]
+        companion[:, range(1, d), range(d - 1)] = 1
+        w = np.zeros((len(z), d), complex)
+        w[ok] = np.linalg.eigvals(companion)
+        e = np.arange(f.jmin, f.jmin + d + 1)
+        da, flat = a * e, w.reshape(-1)
+        todo = np.flatnonzero(np.repeat(ok, d))
+        for _ in range(POLISH_ITERS):
+            wt, row = flat[todo, None], todo // d
+            below = wt ** (e - 1)
+            powers = below * wt
+            val = np.einsum("km,km->k", powers, a[row])
+            dv = np.einsum("km,km->k", below, da[row])
+            go = (np.abs(val) > tol * np.einsum("km,km->k", np.abs(powers), s[row])) & (dv != 0)
+            todo = todo[go]
+            if not len(todo):
+                break
+            flat[todo] -= val[go] / dv[go]
+        else:
+            for i, n in zip(*np.unique(todo // d, return_counts=True)):
+                log.debug("fiber at z = %s: %d of %d roots hit the polish cap", z[i], n, d)
     return w, ok
 
 
@@ -103,55 +108,45 @@ def fiber_roots(p: LaurentPoly2 | FloatView, z: complex, tol: float = ROOT_TOL) 
     return w[0].tolist()
 
 
-def fiber_roots_in_z(p: LaurentPoly2, w: complex, tol: float = ROOT_TOL) -> list[complex]:
-    """All z with p(z, w) = 0 (the transposed sweep)."""
-    return fiber_roots(p.floats().transposed(), w, tol=tol)
-
-
 # -- the amoeba ---------------------------------------------------------------
 
 
 @dataclass
 class AmoebaCloud:
-    samples: list[tuple[complex, complex]]
+    samples: np.ndarray      # (N, 2): (log|z|, log|w|) per point
     radius: float
     skipped_fibers: int
-
-    @cached_property
-    def points(self) -> list[tuple[float, float]]:
-        return [(math.log(abs(z)), math.log(abs(w))) for z, w in self.samples]
+    dropped_roots: int = 0   # roots of unmasked fibers that came back 0 (past float range)
 
     def symmetric_defect(self) -> float:
         """Fraction of occupied cells whose point reflection is empty."""
-        bins, step = DEFECT_BINS, 2 * self.radius / DEFECT_BINS
-        cells = {(int((x + self.radius) / step), int((y + self.radius) / step)) for x, y in self.points}
-        occ = {(i, j) for i, j in cells if 0 <= i < bins and 0 <= j < bins}
-        bad = sum(1 for (i, j) in occ if (bins - 1 - i, bins - 1 - j) not in occ)
-        return bad / max(1, len(occ))
+        cells = np.floor((self.samples + self.radius) / (2 * self.radius / DEFECT_BINS))
+        cells = cells[((cells >= 0) & (cells < DEFECT_BINS)).all(axis=1)].astype(int)
+        occ = np.zeros((DEFECT_BINS, DEFECT_BINS), bool)
+        occ[cells[:, 0], cells[:, 1]] = True
+        return int((occ & ~occ[::-1, ::-1]).sum()) / max(1, int(occ.sum()))
 
 
-def amoeba(
-    p: LaurentPoly2,
-    grid: int = 60,
-    radius: float = 3.0,
-    phases: int = 24,
-) -> AmoebaCloud:
+def amoeba(p: LaurentPoly2, grid: int = 60, radius: float = 3.0) -> AmoebaCloud:
     """Sample the amoeba (log|z|, log|w|) over a log-radial grid of fibers.
 
     Sweeps fibers over z and (transposed) over w so both tentacle directions
-    fill in, one ``fibers`` call each; degenerate fibers are skipped and counted.
-    On tri2 at grid 60 that takes 0.015 s on a 2-core Xeon, 0.13 s fiber by fiber.
+    fill in, one ``fibers`` call each; per sweep value the rows hold its w-roots,
+    then its z-roots.  Degenerate fibers are skipped and counted, and so are the
+    roots of the other fibers that come back 0.  On tri2 at grid 60 the sweep
+    takes 0.015 s on a 2-core Xeon, 0.13 s fiber by fiber.
     """
     f = p.floats()
     t = np.linspace(-radius, radius, grid)[:, None]
-    vals = np.exp(t + 2j * np.pi * (np.arange(phases) + 0.316) / phases).ravel()
-    (ws, wok), (zs, zok) = fibers(f, vals), fibers(f.transposed(), vals)
-    samples: list[tuple[complex, complex]] = []
-    for val, w_row, z_row in zip(vals.tolist(), ws.tolist(), zs.tolist()):
-        samples.extend((val, w) for w in w_row if w != 0)
-        samples.extend((z, val) for z in z_row if z != 0)
+    with np.errstate(all="ignore"):
+        vals = np.exp(t + 2j * np.pi * (np.arange(AMOEBA_PHASES) + 0.316) / AMOEBA_PHASES).ravel()
+        (ws, wok), (zs, zok) = fibers(f, vals), fibers(f.transposed(), vals)
+        roots = np.hstack([ws, zs])
+        lr, lv = np.log(np.hypot(roots.real, roots.imag)), np.log(np.hypot(vals.real, vals.imag))
+    lv, is_w = np.broadcast_to(lv[:, None], lr.shape), np.arange(lr.shape[1]) < ws.shape[1]
+    samples = np.stack([np.where(is_w, lv, lr), np.where(is_w, lr, lv)], axis=-1)[roots != 0]
     skipped = 2 * len(vals) - int(wok.sum() + zok.sum())
-    return AmoebaCloud(samples, radius, skipped)
+    return AmoebaCloud(samples, radius, skipped, int((ws[wok] == 0).sum() + (zs[zok] == 0).sum()))
 
 
 # -- kernel vectors --------------------------------------------------------------
@@ -253,39 +248,43 @@ def _real_roots(f: list[int]) -> list[tuple[float, int]]:
 
     Roots come from ``np.roots`` of each squarefree part, scaled to floats; a root
     r is kept only if the part changes sign exactly at the rationals
-    r (1 -+ REAL_TOL).  An uncertified root is left out."""
+    r (1 -+ REAL_TOL).  An uncertified root is left out, with one DEBUG line per
+    part that loses a root to ``np.roots`` or a real candidate to the certificate."""
     out = []
     for part, k in squarefree_parts(f):
         top = max(map(abs, part))
-        for r in np.roots([c / top for c in reversed(part)]):
-            if abs(r.imag) > REAL_TOL * abs(r):
-                continue
+        roots, n = np.roots([c / top for c in reversed(part)]), len(out)
+        real = [r.real for r in roots if abs(r.imag) <= REAL_TOL * abs(r)]
+        for r in real:
             ends = [reduce(lambda v, c: v * e + c, reversed(part), 0) > 0
-                    for e in (Fraction(r.real) * (1 - REAL_TOL), Fraction(r.real) * (1 + REAL_TOL))]
+                    for e in (Fraction(r) * (1 - REAL_TOL), Fraction(r) * (1 + REAL_TOL))]
             if ends[0] != ends[1]:
-                out.append((float(r.real), k))
+                out.append((float(r), k))
+        if len(roots) < len(part) - 1 or len(out) - n < len(real):
+            log.debug("degree-%d part: np.roots gave %d roots, %d of %d real candidates certified",
+                      len(part) - 1, len(roots), len(out) - n, len(real))
     return out
 
 
-def _gaps(p: LaurentPoly2, x: float) -> tuple[list[tuple[float, float]], list[complex]]:
-    """The gaps (lo, hi) in log|w| of the amoeba's slice at log|z| = x, the two
-    unbounded ones (lo = -inf, hi = inf) included, and the roots w over z = e^x,
-    which ``_order`` counts: the sorted log|w| of the real roots over z = +-e^x
-    alternate piece, gap, piece."""
-    ws, ok = fibers(p, [math.exp(x), -math.exp(x)])
-    if not ok.all():
-        raise DegenerateFiber(f"a fiber over |z| = e^{x} is degenerate")
-    ys = sorted(math.log(abs(r.real)) for r in ws.ravel().tolist() if abs(r.imag) <= REAL_TOL * abs(r))
-    return list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])), ws[0].tolist()
-
-
-def _order(p: LaurentPoly2, x: float, y: float, ws: list[complex]) -> tuple[int, int]:
-    """The order (nu1, nu2) of the amoeba complement component at (x, y) = (log|z|,
-    log|w|), given the roots ``ws`` over z = e^x: nu2 = jmin + #{|w| < e^y} over
-    z = e^x, nu1 = imin + #{|z| < e^x} over w = e^y (Forsberg, Passare and Tsikh 2000)."""
+def _slice(p: LaurentPoly2, x: float) -> list[tuple[float, float, tuple[int, int] | None]]:
+    """The gaps (lo, hi, order) in log|w| of the amoeba's slice at log|z| = x: the
+    sorted log|w| of the real roots over z = +-e^x alternate piece, gap, piece.  The
+    two unbounded gaps (lo = -inf, hi = inf) have order None; a bounded one's order at
+    its midpoint y is nu1 = imin + #{|z| < e^x} over w = e^y, nu2 = jmin + #{|w| < e^y}
+    over z = e^x (Forsberg, Passare and Tsikh 2000), every w = e^y in one ``fibers``
+    call.  Raises DegenerateFiber if any of these fibers is degenerate."""
     f = p.floats()
-    return (f.imin + sum(abs(r) < math.exp(x) for r in fiber_roots_in_z(p, math.exp(y))),
-            f.jmin + sum(abs(r) < math.exp(y) for r in ws))
+    ws, ok = fibers(f, [math.exp(x), -math.exp(x)])
+    ys = sorted(math.log(abs(r.real)) for r in ws[ok].ravel().tolist() if abs(r.imag) <= REAL_TOL * abs(r))
+    gaps = list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf]))
+    ey = [math.exp((lo + hi) / 2) for lo, hi in gaps[1:-1]]
+    zs, zok = fibers(f.transposed(), ey)
+    if not (ok.all() and zok.all()):
+        raise DegenerateFiber(f"a fiber of the slice log|z| = {x} is degenerate")
+    ex, w0 = math.exp(x), ws[0].tolist()
+    orders = [(f.imin + sum(abs(r) < ex for r in row), f.jmin + sum(abs(r) < e for r in w0))
+              for row, e in zip(zs.tolist(), ey)]
+    return [(*gap, o) for gap, o in zip(gaps, [None, *orders, None])]
 
 
 def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
@@ -306,8 +305,7 @@ def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
     holes = set()
     for x in ((a + b) / 2 for a, b in zip(xs, xs[1:])):
         try:
-            gaps, ws = _gaps(p, x)
-            holes |= {o for lo, hi in gaps[1:-1] if (o := _order(p, x, (lo + hi) / 2, ws)) in interior}
+            holes |= {o for _, _, o in _slice(p, x) if o in interior}
         except DegenerateFiber as exc:
             log.debug("real_ovals: slice log|z| = %s skipped: %s", x, exc)
     return sorted(holes)
@@ -320,9 +318,7 @@ def _hole(p: LaurentPoly2, z: float, w: float, orders: list[tuple[int, int]]) ->
     an outer end of the slice or on a degenerate fiber."""
     x, y = math.log(abs(z)), math.log(abs(w))
     try:
-        gaps, ws = _gaps(p, x)
-        lo, hi = min(gaps, key=lambda gap: min(abs(e - y) for e in gap))
-        nu = _order(p, x, (lo + hi) / 2, ws) if math.isfinite(lo + hi) else None
+        nu = min(_slice(p, x), key=lambda gap: min(abs(e - y) for e in gap[:2]))[2]
     except DegenerateFiber:
         return -1
     return orders.index(nu) if nu in orders else -1
@@ -374,15 +370,12 @@ def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: 
 
 
 def write_amoeba_csv(path, cloud: AmoebaCloud) -> None:
+    rows = ("%.12g,%.12g\n" * len(cloud.samples)) % tuple(cloud.samples.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("log_abs_z,log_abs_w\n" + "".join(f"{x:.12g},{y:.12g}\n" for x, y in cloud.points))
+        fh.write("log_abs_z,log_abs_w\n" + rows)
 
 
-def write_amoeba_svg(
-    path,
-    cloud: AmoebaCloud,
-    divisor_points: Sequence[DivisorPoint] = (),
-) -> None:
+def write_amoeba_svg(path, cloud: AmoebaCloud, divisor_points: Sequence[DivisorPoint] = ()) -> None:
     """Hand-rolled scatter plot; divisor points are marked with crosses."""
     r, size = cloud.radius, SVG_SIZE
 
@@ -397,11 +390,8 @@ def write_amoeba_svg(
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for x, y in cloud.points:
-        if abs(x) <= r and abs(y) <= r:
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1" fill="#1f77b4" fill-opacity="0.35"/>'
-            )
+    for x, y in cloud.samples[(np.abs(cloud.samples) <= r).all(axis=1)].tolist():
+        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1" fill="#1f77b4" fill-opacity="0.35"/>')
     for pt in divisor_points:
         x, y = pt.amoeba_image()
         parts.append(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Mapping, Sequence
 
 from .errors import InputError, NetworkSpectraError, SingularDenominator
@@ -231,16 +232,16 @@ class MoveProgram:
             moves = []
             for m in data["moves"]:
                 if m["op"] == "y2d":
-                    moves.append(Move("y2d", int(m["vertex"])))
+                    moves.append(Move("y2d", index(m["vertex"])))
                 elif m["op"] == "d2y":
-                    moves.append(Move("d2y", int(m["face"])))
+                    moves.append(Move("d2y", index(m["face"])))
                 else:
                     raise InputError(f"unknown move op {m['op']!r}")
             return cls(
                 moves,
-                {int(k): int(v) for k, v in data["iso"]["vertices"].items()},
-                {int(k): int(v) for k, v in data["iso"]["edges"].items()},
-                int(data.get("steps", cls.steps)),
+                {int(k): index(v) for k, v in data["iso"]["vertices"].items()},
+                {int(k): index(v) for k, v in data["iso"]["edges"].items()},
+                index(data.get("steps", cls.steps)),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed move program: {type(exc).__name__}: {exc}") from None

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -223,9 +224,9 @@ def _malformed(tmp_path, case):
         prog.write_text(json.dumps({"moves": [{"op": "flip", "vertex": 0}],
                                     "iso": {"vertices": {}, "edges": {}}}))
         return ["evolve", "tri2", "--program", str(prog)]
-    elif case in ("bad-steps", "negative-steps"):
+    elif case in _BAD_PROGRAMS:
         prog = tmp_path / "prog.json"
-        prog.write_text(json.dumps({**_program(), "steps": "x" if case == "bad-steps" else -3}))
+        prog.write_text(json.dumps(_BAD_PROGRAMS[case](_program())))
         return ["evolve", "tri2", "--program", str(prog)]
     elif case == "negative-steps-flag":
         return ["evolve", "tri2", "--program", str(fixture_path("tri2_cube_program")), "--steps", "-2"]
@@ -243,12 +244,22 @@ _BAD_FIELDS = {
 }
 
 
+# case -> the bundled tri2 cube program with one bad field
+_BAD_PROGRAMS = {
+    "bad-steps": lambda prog: {**prog, "steps": "x"},
+    "negative-steps": lambda prog: {**prog, "steps": -3},
+    "float-steps": lambda prog: {**prog, "steps": 2.5},
+    "float-target": lambda prog: {**prog, "moves": [{**prog["moves"][0], "face": 0.5}, *prog["moves"][1:]]},
+    "float-iso": lambda prog: {**prog, "iso": {**prog["iso"], "vertices": {"0": 0, "1": 1.0}}},
+}
+
+
 def _program() -> dict:
     return json.loads(fixture_path("tri2_cube_program").read_text())
 
 
-@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op", "bad-steps",
-                                  "negative-steps", "negative-steps-flag", *_BAD_FIELDS])
+@pytest.mark.parametrize("case", ["invalid-json", "missing-rotation", "zero-conductance", "unknown-op",
+                                  *_BAD_PROGRAMS, "negative-steps-flag", *_BAD_FIELDS])
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert run(tmp_path, *_malformed(tmp_path, case)) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -310,11 +321,22 @@ def test_size_bound(tmp_path, capsys, lattice, command):
 
 
 def test_amoeba_empty_cloud_fails(tmp_path):
-    # every fiber of a radius-5000 sweep overflows, so nothing is left to check
-    assert run(tmp_path, "amoeba", "tri2", "--grid", "8", "--radius", "5000") == 1
+    # every fiber of a radius-5000 sweep overflows, so nothing is left to check; the
+    # overflows are counted, not printed as numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "amoeba", "tri2", "--grid", "8", "--radius", "5000") == 1
     data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
     assert data["points"] == 0
     assert data["skipped_fibers"] > 0
+
+
+def test_amoeba_counts_dropped_roots(tmp_path):
+    # at radius 200 the far fibers are not masked, but some of their roots come back 0;
+    # the cloud they leave is lopsided, so the symmetry check fails
+    assert run(tmp_path, "amoeba", "tri2", "--grid", "30", "--radius", "200") == 1
+    data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
+    assert (data["points"], data["skipped_fibers"], data["dropped_roots"]) == (3744, 0, 576)
 
 
 def test_amoeba_hole_count_from_divisor(tmp_path):

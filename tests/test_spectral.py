@@ -2,23 +2,27 @@ import cmath
 import logging
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from network_spectra import spectral
 from network_spectra.errors import CorankTwo, DegenerateFiber, NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, tri2_generic
 from network_spectra.graph_core import random_rational_conductances, unit_conductances
 from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
+    AMOEBA_PHASES,
+    DEFECT_BINS,
     POLISH_ITERS,
+    REAL_TOL,
     ROOT_TOL,
     AmoebaCloud,
     amoeba,
     fiber_roots,
-    fiber_roots_in_z,
     fibers,
     null_vectors,
     real_ovals,
@@ -81,7 +85,7 @@ def test_degenerate_fiber_at_asymptote():
         with pytest.raises(DegenerateFiber):
             fiber_roots(p, z)
     with pytest.raises(DegenerateFiber):
-        fiber_roots_in_z(LaurentPoly2({(1, 1): 1, (1, 0): -2, (0, 0): 1}), 2.0)
+        fiber_roots(LaurentPoly2({(1, 1): 1, (1, 0): -2, (0, 0): 1}).floats().transposed(), 2.0)
     assert len(fiber_roots(p, 2.5)) == 2
 
 
@@ -119,7 +123,7 @@ def test_fiber_roots_in_z_match_explicit_transpose(rng):
     swapped = LaurentPoly2({(j, i): v for (i, j), v in p.terms()})
     for _ in range(4):
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        got = sorted(fiber_roots_in_z(p, w), key=lambda z: (z.real, z.imag))
+        got = sorted(fiber_roots(p.floats().transposed(), w), key=lambda z: (z.real, z.imag))
         ref = sorted(fiber_roots(swapped, w), key=lambda z: (z.real, z.imag))
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
@@ -163,22 +167,27 @@ def _reference_fiber_roots(p, z, tol=ROOT_TOL):
     return w.tolist()
 
 
-def _reference_amoeba(p, grid, radius=3.0, phases=24):
+def _reference_amoeba(p, grid, radius=3.0):
     """``amoeba``'s sweep, one reference fiber per z and per w."""
     swapped = LaurentPoly2({(j, i): v for (i, j), v in p.terms()})
     samples, skipped = [], 0
-    for val in _amoeba_values(grid, radius, phases):
+    for val in _amoeba_values(grid, radius):
         for q, pair in ((p, lambda r: (val, r)), (swapped, lambda r: (r, val))):
             try:
                 samples.extend(pair(r) for r in _reference_fiber_roots(q, val) if r != 0)
             except DegenerateFiber:
                 skipped += 1
-    return AmoebaCloud(samples, radius, skipped)
+    return AmoebaCloud(_logs(samples), radius, skipped)
 
 
-def _amoeba_values(grid, radius=3.0, phases=24):
-    return [cmath.exp(t + 2j * math.pi * (k + 0.316) / phases)
-            for t in np.linspace(-radius, radius, grid) for k in range(phases)]
+def _logs(samples):
+    """(log|z|, log|w|) of (z, w) pairs, point by point, as an (N, 2) array."""
+    return np.array([(math.log(abs(z)), math.log(abs(w))) for z, w in samples], float).reshape(-1, 2)
+
+
+def _amoeba_values(grid, radius=3.0):
+    return [cmath.exp(t + 2j * math.pi * (k + 0.316) / AMOEBA_PHASES)
+            for t in np.linspace(-radius, radius, grid) for k in range(AMOEBA_PHASES)]
 
 
 # tri2_generic and the positive lattice draws the amoeba is checked on, at seed 1
@@ -238,6 +247,53 @@ def test_amoeba_matches_reference_sweep(lattice, rung):
     assert cloud.symmetric_defect() == ref.symmetric_defect()
 
 
+@pytest.mark.parametrize("rung", AMOEBA_RUNGS, ids=str)
+def test_amoeba_rows_match_per_point_reference(lattice, rung, monkeypatch):
+    # the rows of the array, point by point from the same fibers: per sweep value its
+    # nonzero w-roots, then its nonzero z-roots
+    p = _rung_poly(lattice, rung)
+    solved, solve = [], spectral.fibers
+    monkeypatch.setattr(spectral, "fibers", lambda q, zs, *a: solved.append((zs, solve(q, zs, *a))) or solved[-1][1])
+    cloud = amoeba(p, grid=30)
+    (vals, (ws, _)), (_, (zs, _)) = solved
+    pairs = []
+    for val, w_row, z_row in zip(vals.tolist(), ws.tolist(), zs.tolist()):
+        pairs += [(val, w) for w in w_row if w != 0] + [(z, val) for z in z_row if z != 0]
+    assert cloud.samples.dtype == float and cloud.samples.shape == (len(pairs), 2)
+    np.testing.assert_allclose(cloud.samples, _logs(pairs), rtol=1e-12, atol=0)
+    assert cloud.dropped_roots == 0
+
+
+def test_far_sweep_counts_dropped_roots_both_ways():
+    # at radius 200 the fibers are unmasked but 576 roots come back 0: w-roots of p,
+    # z-roots of its transpose
+    p = _tri2_poly()
+    swapped = LaurentPoly2({(j, i): v for (i, j), v in p.terms()})
+    for q in (p, swapped):
+        cloud = amoeba(q, grid=30, radius=200.0)
+        assert (len(cloud.samples), cloud.skipped_fibers, cloud.dropped_roots) == (3744, 0, 576)
+
+
+def test_fibers_past_float_range_warn_nothing():
+    # far fibers overflow in the evaluation and the polish without a numpy warning,
+    # and the fiber solved beside them is unchanged
+    p = _tri2_poly()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, ok = fibers(p, [1e300, 1e-300, complex(1e200, -1e200), 1.5])
+    assert ok[-1] and w[-1].tolist() == fiber_roots(p, 1.5)
+
+
+def test_symmetric_defect_bins_by_floor():
+    # a sigma pair just outside the window at x = -+(radius + step / 2): both points
+    # fall outside it, off the cell boundaries, so the cloud reads symmetric
+    r, step = 3.0, 6.0 / DEFECT_BINS
+    pts = np.array([(0.37, 0.52), (r + step / 2, 0.37)])
+    assert AmoebaCloud(np.vstack([pts, -pts]), r, 0).symmetric_defect() == 0.0
+    assert AmoebaCloud(pts, r, 0).symmetric_defect() == 1.0
+    assert AmoebaCloud(np.zeros((0, 2)), r, 0).symmetric_defect() == 0.0
+
+
 def test_float_view_not_inherited():
     p = LaurentPoly2({(2, 1): 3, (0, -1): 1, (1, 0): -2})
     view = p.floats()
@@ -260,19 +316,21 @@ def test_polish_cap_logged(sq1_poly, caplog):
 
 
 def test_amoeba_sq1_symmetric_no_holes(sq1_poly):
-    cloud = amoeba(sq1_poly, grid=40, radius=3.0, phases=16)
+    cloud = amoeba(sq1_poly, grid=40, radius=3.0)
     assert cloud.symmetric_defect() < 0.05
     assert real_ovals(sq1_poly) == []  # genus 0: no compact ovals
 
 
 def test_amoeba_writers(tmp_path, sq1_poly):
-    cloud = amoeba(sq1_poly, grid=20, radius=2.0, phases=8)
+    cloud = amoeba(sq1_poly, grid=20, radius=2.0)
     write_amoeba_csv(tmp_path / "a.csv", cloud)
     write_amoeba_svg(tmp_path / "a.svg", cloud)
     lines = (tmp_path / "a.csv").read_text().splitlines()
     assert lines[0] == "log_abs_z,log_abs_w"
-    assert len(lines) == len(cloud.points) + 1
-    assert (tmp_path / "a.svg").read_text().startswith("<svg")
+    assert np.array([line.split(",") for line in lines[1:]], float) == pytest.approx(cloud.samples, rel=1e-11)
+    svg = (tmp_path / "a.svg").read_text()
+    assert svg.startswith("<svg")
+    assert svg.count("<circle") == int((np.abs(cloud.samples) <= 2.0).all(axis=1).sum()) > 0
 
 
 def test_tri2_two_ovals():
@@ -298,15 +356,57 @@ def test_real_ovals_name_every_hole(lattice, rung):
 
 
 def test_divisor_labels_each_point_from_three_fibers(monkeypatch):
-    # the slice's gaps solve z = +-e^x, the order reuses the e^x roots and adds w = e^y
-    from network_spectra import spectral
-
+    # per point, one call solves the slice's z = +-e^x and one stacked call the w = e^y
+    # of its gaps, here the one bounded gap; the order reuses the e^x roots
     solved, solve = [], spectral.fibers
     monkeypatch.setattr(spectral, "fibers", lambda p, zs, *a: solved.append(len(zs)) or solve(p, zs, *a))
     g, _ = build("tri2")
     res = spectral_divisor(g, random_rational_conductances(g, random.Random(1)))
     assert res.hole_count == len(res.points) == 2
-    assert sum(solved) == 3 * len(res.points)
+    assert solved == [2, 1] * len(res.points)
+
+
+def _reference_gaps(p, x):
+    """The slice's gaps (lo, hi) and the roots w over z = e^x, one fiber per call."""
+    ws, ok = fibers(p, [math.exp(x), -math.exp(x)])
+    if not ok.all():
+        raise DegenerateFiber(f"a fiber over |z| = e^{x} is degenerate")
+    ys = sorted(math.log(abs(r.real)) for r in ws.ravel().tolist() if abs(r.imag) <= REAL_TOL * abs(r))
+    return list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])), ws[0].tolist()
+
+
+def _reference_order(p, x, y, ws):
+    """The order at (x, y) from one transposed fiber, counted in Python."""
+    f = p.floats()
+    return (f.imin + sum(abs(r) < math.exp(x) for r in fiber_roots(f.transposed(), math.exp(y))),
+            f.jmin + sum(abs(r) < math.exp(y) for r in ws))
+
+
+def _reference_slice(p, x):
+    try:
+        gaps, ws = _reference_gaps(p, x)
+        return [(lo, hi, _reference_order(p, x, (lo + hi) / 2, ws) if math.isfinite(lo + hi) else None)
+                for lo, hi in gaps]
+    except DegenerateFiber:
+        return DegenerateFiber
+
+
+@pytest.mark.parametrize("unit, name", [*((True, n) for n in FIXTURE_NAMES), *((False, r) for r in AMOEBA_RUNGS)],
+                         ids=[*(f"{n}-unit" for n in FIXTURE_NAMES), *map(str, AMOEBA_RUNGS)])
+def test_slice_matches_gaps_and_orders(lattice, monkeypatch, unit, name):
+    # at every slice real_ovals takes, the one stacked solve over the gaps gives the
+    # gaps and orders that one fiber per gap gives
+    p = charpoly(build_laplacian(*build(name))) if unit else _rung_poly(lattice, name)
+    xs, slice_ = [], spectral._slice
+    monkeypatch.setattr(spectral, "_slice", lambda q, x: xs.append(x) or slice_(q, x))
+    real_ovals(p)
+    assert xs or not set(p.newton_polygon().interior_lattice_points()) - {(0, 0)}
+    for x in xs:
+        try:
+            got = slice_(p, x)
+        except DegenerateFiber:
+            got = DegenerateFiber
+        assert got == _reference_slice(p, x)
 
 
 @pytest.mark.parametrize("rung", [("sq", 2, 2), ("tri", 2, 2)], ids=str)
@@ -332,6 +432,18 @@ def test_real_ovals_unit_ovals_are_nodes(lattice, name):
     # lattices the discriminant's roots z = 1 and z = -1 give one critical value twice
     g = build(name)[0] if isinstance(name, str) else lattice(*name)
     assert real_ovals(charpoly(build_laplacian(g, unit_conductances(g)))) == []
+
+
+@pytest.mark.xfail(strict=True, reason="scaled by 10^400, the leading coefficient of x^2 - 10^400 underflows "
+                                       "to 0.0 and np.roots sees a constant (ROADMAP item 5)")
+def test_real_roots_past_float_range():
+    assert sorted(r for r, _ in spectral._real_roots([-(10**400), 0, 1])) == pytest.approx([-1e200, 1e200])
+
+
+def test_real_roots_log_a_lossy_part(caplog):
+    with caplog.at_level(logging.DEBUG, logger="network_spectra.spectral"):
+        found = spectral._real_roots([-(10**400), 0, 1])
+    assert len(found) == 2 or any("degree-2 part" in r.getMessage() for r in caplog.records)
 
 
 def test_null_vectors_constant_at_node():
