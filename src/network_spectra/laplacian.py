@@ -11,8 +11,9 @@ up the engines get the rows with each column's and each row's content divided
 out, which the scale takes back (``_content_free``): conductances that a Y-Delta
 program evolves share long factors, and the smaller rows nearly halved the
 determinant at tri3x2, while below 4 rows the gcds cost more than the few
-products they shorten.  The same engines give the resultants, and integer
-coefficient lists the gcds, that the spectral divisor is made of.
+products they shorten.  The resultants that the spectral divisor is made of
+take the same interpolation over values from the subresultant PRS
+(``_resultant``), and integer coefficient lists their gcds.
 """
 
 from __future__ import annotations
@@ -263,10 +264,15 @@ def principal_minor(L: LaplacianMatrix, v0: int) -> LaurentPoly2:
 
 def resultant_w(f: LaurentPoly2, g: LaurentPoly2) -> list[int]:
     """Res_w(f, g) as integer coefficients in z, after f and g are each scaled to
-    integers and shifted to exponents >= 0 (which moves it by a factor c z^k).  The
-    Sylvester matrix takes their formal w-degrees m and n, so its determinant has
-    z-degree <= m * deg_z g + n * deg_z f: ``_bareiss`` at that many integers z,
-    plus one, then ``_interpolate``."""
+    integers and shifted to exponents >= 0 (which moves it by a factor c z^k).  It is
+    the determinant of the Sylvester matrix at their formal w-degrees m and n, rows
+    f w^r (r < n) then g w^r (r < m), coefficients lowest first; [1] for two w-free
+    polynomials (m = n = 0), [] if f or g is 0.  Its z-degree is <= m * deg_z g +
+    n * deg_z f, so its values at that many integers z, plus one, fix it
+    (``_interpolate``); ``_resultant`` gives each value from the two integer
+    w-polynomials."""
+    if not (f and g):
+        return []
     fi, gi = (_integer_row([h])[0][0] for h in (f, g))
     (m, fz), (n, gz) = ((max(j for _, j in t), max(i for i, _ in t)) for t in (fi, gi))
     deg = m * gz + n * fz
@@ -277,9 +283,50 @@ def resultant_w(f: LaurentPoly2, g: LaurentPoly2) -> list[int]:
         for t, col in ((fi, cf), (gi, cg)):
             for (i, j), c in t.items():
                 col[j] += c * z**i
-        rows = [[0] * r + cf + [0] * (n - 1 - r) for r in range(n)]
-        vals.append(_bareiss(rows + [[0] * r + cg + [0] * (m - 1 - r) for r in range(m)]))
+        vals.append(_resultant(cf, cg))
     return _trim(_interpolate(zs, vals))
+
+
+def _resultant(a: list[int], b: list[int]) -> int:
+    """``resultant_w``'s Sylvester determinant of integer polynomials a and b, given
+    lowest coefficient first at formal degrees m = len(a) - 1 and n = len(b) - 1.
+
+    That layout is (-1)^(mn) times the classic Res(a, b), whose rows hold the
+    coefficients highest first.  A vanishing leading coefficient is expanded away
+    first (formal-degree rule): Res = ((-1)^n b_n)^(m - m') Res' if deg a = m' < m,
+    a_m^(n - n') Res' if deg b = n' < n, and 0 if both vanish.  Then the subresultant
+    PRS (Collins 1967, Brown-Traub 1971; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 3.3.7, contents left in) takes about m * n products where
+    Bareiss on the Sylvester matrix takes (m + n)^3."""
+    m, n = len(a) - 1, len(b) - 1
+    k = -1 if m & n & 1 else 1
+    if m and n and not (a[-1] and b[-1]):
+        if not (a[-1] or b[-1]):
+            return 0
+        lead = a[-1] or (-1) ** n * b[-1]
+        a, b = _trim(a), _trim(b)
+        if not (a and b):
+            return 0  # one polynomial is 0 at a positive formal degree: zero rows
+        k *= lead ** (m + n + 2 - len(a) - len(b))
+    m, n = len(a) - 1, len(b) - 1
+    if m < n:
+        a, b, m, n, k = b, a, n, m, -k if m & n & 1 else k
+    g = h = 1
+    while n > 0:
+        d, lb = m - n, b[-1]
+        k = -k if m & n & 1 else k
+        r = a
+        for _ in range(d + 1):  # pseudo-remainder: lb^(d + 1) a = q b + r
+            c = r[-1]
+            r = [lb * x for x in r[:-len(b)]] + [lb * x - c * y for x, y in zip(r[-len(b):-1], b)]
+        r = _trim(r)
+        if not r:
+            return 0
+        div = g * h**d
+        a, b, m, n = b, [x // div for x in r], n, len(r) - 1
+        g = a[-1]
+        h = g**d // h ** (d - 1) if d else h
+    return k * b[-1] ** m // h ** max(m - 1, 0)
 
 
 def _trim(a: Sequence[int]) -> list[int]:

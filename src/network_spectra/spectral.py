@@ -17,8 +17,9 @@ matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
 cached on the view), kernel vectors the arrays of ``LaplacianMatrix.darts``.
 One solver, ``fibers``, finds the roots of a whole array of fibers with one
 stacked eigenvalue call.  The amoeba cloud is one (N, 2) array of (log|z|,
-log|w|), built from one call per sweep direction; an amoeba slice takes one call
-for its two fibers over z = +-e^x and one for the fibers over all its gaps.
+log|w|), built from one call per sweep direction.  The slices that ``real_ovals``
+takes, or that label the divisor's points, take two stacked calls in all: one
+for every fiber over z = +-e^x, one for every fiber over the gaps of every slice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -248,16 +248,23 @@ def _real_roots(f: list[int]) -> list[tuple[float, int]]:
 
     Roots come from ``np.roots`` of each squarefree part, scaled to floats; a root
     r is kept only if the part changes sign exactly at the rationals
-    r (1 -+ REAL_TOL).  An uncertified root is left out, with one DEBUG line per
-    part that loses a root to ``np.roots`` or a real candidate to the certificate."""
-    out = []
+    e = r (1 -+ REAL_TOL).  With e = a / b, b > 0, that sign is the sign of the
+    integer sum of c_i a^i b^(n - i), so no Fraction is formed.  An uncertified root
+    is left out, with one DEBUG line per part that loses a root to ``np.roots`` or a
+    real candidate to the certificate."""
+    out, t, u = [], REAL_TOL.numerator, REAL_TOL.denominator
     for part, k in squarefree_parts(f):
         top = max(map(abs, part))
         roots, n = np.roots([c / top for c in reversed(part)]), len(out)
         real = [r.real for r in roots if abs(r.imag) <= REAL_TOL * abs(r)]
         for r in real:
-            ends = [reduce(lambda v, c: v * e + c, reversed(part), 0) > 0
-                    for e in (Fraction(r) * (1 - REAL_TOL), Fraction(r) * (1 + REAL_TOL))]
+            p, q = float(r).as_integer_ratio()
+            ends = []
+            for a, b in ((p * (u - t), q * u), (p * (u + t), q * u)):
+                v, bk = 0, 1
+                for c in reversed(part):  # v = sum of c_i a^i b^(n - i), by Horner
+                    v, bk = v * a + c * bk, bk * b
+                ends.append(v > 0)
             if ends[0] != ends[1]:
                 out.append((float(r), k))
         if len(roots) < len(part) - 1 or len(out) - n < len(real):
@@ -266,25 +273,34 @@ def _real_roots(f: list[int]) -> list[tuple[float, int]]:
     return out
 
 
-def _slice(p: LaurentPoly2, x: float) -> list[tuple[float, float, tuple[int, int] | None]]:
-    """The gaps (lo, hi, order) in log|w| of the amoeba's slice at log|z| = x: the
-    sorted log|w| of the real roots over z = +-e^x alternate piece, gap, piece.  The
-    two unbounded gaps (lo = -inf, hi = inf) have order None; a bounded one's order at
-    its midpoint y is nu1 = imin + #{|z| < e^x} over w = e^y, nu2 = jmin + #{|w| < e^y}
-    over z = e^x (Forsberg, Passare and Tsikh 2000), every w = e^y in one ``fibers``
-    call.  Raises DegenerateFiber if any of these fibers is degenerate."""
+def _slices(p: LaurentPoly2, xs: Sequence[float]) -> list[list[tuple[float, float, tuple[int, int] | None]] | None]:
+    """The gaps (lo, hi, order) in log|w| of the amoeba's slice at each log|z| = x of
+    ``xs``, or None where a fiber of the slice is degenerate.  The sorted log|w| of
+    the real roots over z = +-e^x alternate piece, gap, piece.  The two unbounded gaps
+    (lo = -inf, hi = inf) have order None; a bounded one's order at its midpoint y is
+    nu1 = imin + #{|z| < e^x} over w = e^y, nu2 = jmin + #{|w| < e^y} over z = e^x
+    (Forsberg, Passare and Tsikh 2000).  One ``fibers`` call solves every z = +-e^x,
+    one more every w = e^y of every slice."""
     f = p.floats()
-    ws, ok = fibers(f, [math.exp(x), -math.exp(x)])
-    ys = sorted(math.log(abs(r.real)) for r in ws[ok].ravel().tolist() if abs(r.imag) <= REAL_TOL * abs(r))
-    gaps = list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf]))
-    ey = [math.exp((lo + hi) / 2) for lo, hi in gaps[1:-1]]
+    ws, ok = fibers(f, [s * math.exp(x) for x in xs for s in (1, -1)])
+    gaps: list = []
+    for k in range(len(xs)):
+        roots = ws[2 * k:2 * k + 2].ravel().tolist()
+        ys = sorted(math.log(abs(r.real)) for r in roots if abs(r.imag) <= REAL_TOL * abs(r))
+        gaps.append(list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])) if ok[2 * k:2 * k + 2].all() else None)
+    ey = [math.exp((lo + hi) / 2) for gs in gaps if gs for lo, hi in gs[1:-1]]
     zs, zok = fibers(f.transposed(), ey)
-    if not (ok.all() and zok.all()):
-        raise DegenerateFiber(f"a fiber of the slice log|z| = {x} is degenerate")
-    ex, w0 = math.exp(x), ws[0].tolist()
-    orders = [(f.imin + sum(abs(r) < ex for r in row), f.jmin + sum(abs(r) < e for r in w0))
-              for row, e in zip(zs.tolist(), ey)]
-    return [(*gap, o) for gap, o in zip(gaps, [None, *orders, None])]
+    out, i = [], 0
+    for x, gs, w0 in zip(xs, gaps, ws[::2].tolist()):
+        if gs is None:
+            out.append(None)
+            continue
+        j, i = i, i + len(gs[1:-1])
+        ex = math.exp(x)
+        orders = [(f.imin + sum(abs(r) < ex for r in row), f.jmin + sum(abs(r) < e for r in w0))
+                  for row, e in zip(zs[j:i].tolist(), ey[j:i])]
+        out.append([(*gap, o) for gap, o in zip(gs, [None, *orders, None])] if zok[j:i].all() else None)
+    return out
 
 
 def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
@@ -302,26 +318,14 @@ def real_ovals(p: LaurentPoly2) -> list[tuple[int, int]]:
     for x in sorted(math.log(abs(r)) for r, _ in _real_roots(_strip(resultant_w(p, p.derivative("w"))))):
         if not xs or x - xs[-1] > REAL_TOL:  # one value, e.g. log|1| and log|-1| at a real node
             xs.append(x)
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
     holes = set()
-    for x in ((a + b) / 2 for a, b in zip(xs, xs[1:])):
-        try:
-            holes |= {o for _, _, o in _slice(p, x) if o in interior}
-        except DegenerateFiber as exc:
-            log.debug("real_ovals: slice log|z| = %s skipped: %s", x, exc)
+    for x, gaps in zip(mids, _slices(p, mids)):
+        if gaps is None:
+            log.debug("real_ovals: slice log|z| = %s skipped: a fiber of the slice is degenerate", x)
+        else:
+            holes |= {o for _, _, o in gaps if o in interior}
     return sorted(holes)
-
-
-def _hole(p: LaurentPoly2, z: float, w: float, orders: list[tuple[int, int]]) -> int:
-    """Index in ``orders`` of the amoeba gap that the real point (z, w) bounds, or -1.
-
-    The gap is the one at the point's end of its piece in the slice at log|z|; -1 at
-    an outer end of the slice or on a degenerate fiber."""
-    x, y = math.log(abs(z)), math.log(abs(w))
-    try:
-        nu = min(_slice(p, x), key=lambda gap: min(abs(e - y) for e in gap[:2]))[2]
-    except DegenerateFiber:
-        return -1
-    return orders.index(nu) if nu in orders else -1
 
 
 def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: int = 0) -> DivisorResult:
@@ -362,7 +366,13 @@ def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: 
                 continue
             # relative |Q| at the point and at its (1/z, 1/w) image
             qres = [abs(v) / max(s, 1e-300) for v, s in (qf.at(z, w), qf.at(1 / z, 1 / w))]
-            points.append(DivisorPoint(z, w, float(abs(V[v0])), _hole(p, z, w, orders), *qres))
+            points.append(DivisorPoint(z, w, float(abs(V[v0])), -1, *qres))
+    # each point's hole is the gap at its end of its piece in the slice at log|z|;
+    # -1 at an outer end of the slice or on a degenerate fiber
+    for pt, gaps in zip(points, _slices(p, [math.log(abs(pt.z)) for pt in points])):
+        y = math.log(abs(pt.w))
+        nu = gaps and min(gaps, key=lambda gap: min(abs(e - y) for e in gap[:2]))[2]
+        pt.hole_index = orders.index(nu) if nu in orders else -1
     return DivisorResult(polygon.interior_lattice_count() - 1, points, node_check(p).to_json(), gz, gw, nodes)
 
 
@@ -376,7 +386,8 @@ def write_amoeba_csv(path, cloud: AmoebaCloud) -> None:
 
 
 def write_amoeba_svg(path, cloud: AmoebaCloud, divisor_points: Sequence[DivisorPoint] = ()) -> None:
-    """Hand-rolled scatter plot; divisor points are marked with crosses."""
+    """Hand-rolled scatter plot; divisor points are marked with crosses.  The cloud's
+    circles are one ``%`` format over its in-frame (N, 2) array."""
     r, size = cloud.radius, SVG_SIZE
 
     def sx(x: float) -> float:
@@ -385,21 +396,18 @@ def write_amoeba_svg(path, cloud: AmoebaCloud, divisor_points: Sequence[DivisorP
     def sy(y: float) -> float:
         return size - (y + r) / (2 * r) * size
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    for x, y in cloud.samples[(np.abs(cloud.samples) <= r).all(axis=1)].tolist():
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1" fill="#1f77b4" fill-opacity="0.35"/>')
-    for pt in divisor_points:
-        x, y = pt.amoeba_image()
-        parts.append(
-            f'<g stroke="#d62728" stroke-width="2">'
-            f'<line x1="{sx(x)-6:.2f}" y1="{sy(y):.2f}" x2="{sx(x)+6:.2f}" y2="{sy(y):.2f}"/>'
-            f'<line x1="{sx(x):.2f}" y1="{sy(y)-6:.2f}" x2="{sx(x):.2f}" y2="{sy(y)+6:.2f}"/>'
-            f"</g>"
-        )
-    parts.append("</svg>")
+    xy = cloud.samples[(np.abs(cloud.samples) <= r).all(axis=1)]
+    xy = np.stack([sx(xy[:, 0]), sy(xy[:, 1])], axis=1)
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" fill="white"/>\n')
+    circles = ('<circle cx="%.2f" cy="%.2f" r="1" fill="#1f77b4" fill-opacity="0.35"/>\n' * len(xy)
+               % tuple(xy.ravel().tolist()))
+    marks = "".join(
+        f'<g stroke="#d62728" stroke-width="2">'
+        f'<line x1="{sx(x)-6:.2f}" y1="{sy(y):.2f}" x2="{sx(x)+6:.2f}" y2="{sy(y):.2f}"/>'
+        f'<line x1="{sx(x):.2f}" y1="{sy(y)-6:.2f}" x2="{sx(x):.2f}" y2="{sy(y)+6:.2f}"/>'
+        f"</g>\n"
+        for x, y in (pt.amoeba_image() for pt in divisor_points)
+    )
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(head + circles + marks + "</svg>\n")

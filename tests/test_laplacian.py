@@ -518,12 +518,85 @@ def test_desnanot_jacobi(lattice):
 
 
 def test_resultant_w():
-    # Res_w(w - z, w^2 - 2) = +-(z^2 - 2) and Res_w(z w - 1, w - z) = +-(z^2 - 1); the
-    # Laurent 3/z + 1/w + w is shifted to z w^2 + 3 w + z first, which is z^3 + 4z at w = z
+    # the Sylvester determinant with coefficients lowest first is (-1)^(mn) times the
+    # classic resultant: Res_w(w - z, w^2 - 2) = z^2 - 2, and Res_w(z w - 1, w - z) =
+    # 1 - z^2 gives z^2 - 1; the Laurent 3/z + 1/w + w is shifted to z w^2 + 3 w + z
+    # first, which is z^3 + 4z at w = z
     w_minus_z = LaurentPoly2({(0, 1): 1, (1, 0): -1})
-    assert resultant_w(w_minus_z, LaurentPoly2({(0, 2): 1, (0, 0): -2})) in ([-2, 0, 1], [2, 0, -1])
-    assert resultant_w(LaurentPoly2({(1, 1): 1, (0, 0): -1}), w_minus_z) in ([-1, 0, 1], [1, 0, -1])
-    assert resultant_w(LaurentPoly2({(0, 1): 1, (0, -1): 1, (-1, 0): 3}), w_minus_z) in ([0, 4, 0, 1], [0, -4, 0, -1])
+    assert resultant_w(w_minus_z, LaurentPoly2({(0, 2): 1, (0, 0): -2})) == [-2, 0, 1]
+    assert resultant_w(LaurentPoly2({(1, 1): 1, (0, 0): -1}), w_minus_z) == [-1, 0, 1]
+    assert resultant_w(LaurentPoly2({(0, 1): 1, (0, -1): 1, (-1, 0): 3}), w_minus_z) == [0, 4, 0, 1]
+
+
+def _sylvester_resultant(f, g):
+    """Res_w(f, g) the long way: Bareiss on the whole Sylvester matrix at each point."""
+    if not (f and g):
+        return []
+    fi, gi = (_integer_row([h])[0][0] for h in (f, g))
+    (m, fz), (n, gz) = ((max(j for _, j in t), max(i for i, _ in t)) for t in (fi, gi))
+    deg = m * gz + n * fz
+    zs = range(-(deg // 2), deg - deg // 2 + 1)
+    vals = []
+    for z in zs:
+        cf, cg = [0] * (m + 1), [0] * (n + 1)
+        for t, col in ((fi, cf), (gi, cg)):
+            for (i, j), c in t.items():
+                col[j] += c * z**i
+        rows = [[0] * r + cf + [0] * (n - 1 - r) for r in range(n)]
+        rows += [[0] * r + cg + [0] * (m - 1 - r) for r in range(m)]
+        vals.append(laplacian._bareiss(rows) if rows else 1)  # a 0 x 0 determinant is 1
+    return laplacian._trim(laplacian._interpolate(zs, vals))
+
+
+@st.composite
+def _w_polys(draw, m, root):
+    """An integer polynomial of formal w-degree m and z-degree <= 2 with coefficients
+    up to 10^30; with an integer ``root``, its w^m coefficient is a multiple of
+    z - root, so it vanishes at that evaluation point."""
+    coeff = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+    terms = {(i, j): draw(coeff) for i in range(3) for j in range(m)}
+    lead = draw(st.integers(-(10**30), 10**30).filter(bool))
+    if root is None:
+        terms[0, m], terms[1, m] = lead, draw(coeff)
+    else:
+        terms[1, m], terms[0, m] = lead, -lead * root
+    return LaurentPoly2(terms)
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(f, g): generic, a vanishing leading coefficient in f or in g, in both at once
+    at the same z, or a shared factor w - 2z - 1 (a zero resultant)."""
+    case = draw(st.sampled_from(["generic", "f lead vanishes", "g lead vanishes", "both leads vanish",
+                                 "shared factor"]))
+    shared = case == "shared factor"
+    m, n = (draw(st.integers(0, 7 if shared else 8)) for _ in range(2))
+    root = draw(st.integers(-2, 2))
+    f = draw(_w_polys(m, root if case in ("f lead vanishes", "both leads vanish") else None))
+    g = draw(_w_polys(n, root if case in ("g lead vanishes", "both leads vanish") else None))
+    if shared:
+        h = LaurentPoly2({(0, 1): 1, (1, 0): -2, (0, 0): -1})
+        f, g = f * h, g * h
+    return f, g
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_resultant_pairs())
+def test_resultant_w_matches_sylvester_bareiss(fg):
+    f, g = fg
+    assert resultant_w(f, g) == _sylvester_resultant(f, g)
+
+
+def test_resultant_w_edge_cases():
+    z_plus_3, w_free = LaurentPoly2({(1, 0): 1, (0, 0): 3}), LaurentPoly2({(2, 0): 5})
+    vanishes_at_1 = LaurentPoly2({(1, 2): 1, (0, 2): -1, (1, 0): 1, (0, 0): -1})  # (z - 1)(w^2 + 1)
+    assert resultant_w(z_plus_3, w_free) == [1]  # a 0 x 0 Sylvester matrix
+    assert resultant_w(LaurentPoly2.zero(), vanishes_at_1) == resultant_w(z_plus_3, LaurentPoly2.zero()) == []
+    # formal degree 0 against a g that is 0 at z = 1: the determinant is f0^2 there too
+    assert resultant_w(z_plus_3, vanishes_at_1) == [9, 6, 1]
+    assert resultant_w(vanishes_at_1, z_plus_3) == [9, 6, 1]
+    for f, g in [(z_plus_3, w_free), (z_plus_3, vanishes_at_1), (vanishes_at_1, z_plus_3)]:
+        assert resultant_w(f, g) == _sylvester_resultant(f, g)
 
 
 def test_poly_gcd_and_division():

@@ -356,14 +356,15 @@ def test_real_ovals_name_every_hole(lattice, rung):
 
 
 def test_divisor_labels_each_point_from_three_fibers(monkeypatch):
-    # per point, one call solves the slice's z = +-e^x and one stacked call the w = e^y
-    # of its gaps, here the one bounded gap; the order reuses the e^x roots
+    # three fibers per point, in two calls for all points: one solves every slice's
+    # z = +-e^x and one every w = e^y of their gaps, here one bounded gap a slice; the
+    # order reuses the e^x roots
     solved, solve = [], spectral.fibers
     monkeypatch.setattr(spectral, "fibers", lambda p, zs, *a: solved.append(len(zs)) or solve(p, zs, *a))
     g, _ = build("tri2")
     res = spectral_divisor(g, random_rational_conductances(g, random.Random(1)))
     assert res.hole_count == len(res.points) == 2
-    assert solved == [2, 1] * len(res.points)
+    assert solved == [2 * len(res.points), len(res.points)]
 
 
 def _reference_gaps(p, x):
@@ -394,19 +395,17 @@ def _reference_slice(p, x):
 @pytest.mark.parametrize("unit, name", [*((True, n) for n in FIXTURE_NAMES), *((False, r) for r in AMOEBA_RUNGS)],
                          ids=[*(f"{n}-unit" for n in FIXTURE_NAMES), *map(str, AMOEBA_RUNGS)])
 def test_slice_matches_gaps_and_orders(lattice, monkeypatch, unit, name):
-    # at every slice real_ovals takes, the one stacked solve over the gaps gives the
-    # gaps and orders that one fiber per gap gives
+    # at every slice real_ovals takes, the two stacked solves over all slices give the
+    # gaps and orders that one fiber per gap gives, and None where those raise
     p = charpoly(build_laplacian(*build(name))) if unit else _rung_poly(lattice, name)
-    xs, slice_ = [], spectral._slice
-    monkeypatch.setattr(spectral, "_slice", lambda q, x: xs.append(x) or slice_(q, x))
+    calls, slices = [], spectral._slices
+    monkeypatch.setattr(spectral, "_slices", lambda q, xs: calls.append((xs, slices(q, xs))) or calls[-1][1])
     real_ovals(p)
-    assert xs or not set(p.newton_polygon().interior_lattice_points()) - {(0, 0)}
-    for x in xs:
-        try:
-            got = slice_(p, x)
-        except DegenerateFiber:
-            got = DegenerateFiber
-        assert got == _reference_slice(p, x)
+    assert any(xs for xs, _ in calls) or not set(p.newton_polygon().interior_lattice_points()) - {(0, 0)}
+    for xs, got in calls:
+        assert len(got) == len(xs)
+        for x, gaps in zip(xs, got):
+            assert (DegenerateFiber if gaps is None else gaps) == _reference_slice(p, x)
 
 
 @pytest.mark.parametrize("rung", [("sq", 2, 2), ("tri", 2, 2)], ids=str)
