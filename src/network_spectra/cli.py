@@ -31,7 +31,7 @@ from pathlib import Path
 from . import fixtures as fixture_lib
 from .errors import InputError, NetworkSpectraError
 from .graph_core import TorusGraph, random_rational_conductances, unit_conductances
-from .laplacian import build_laplacian, charpoly, node_check, principal_minor
+from .laplacian import build_laplacian, charpoly, charpoly_minors, node_check
 from .laurent import NewtonPolygon
 from .forests import (
     boundary_point_counts,
@@ -82,7 +82,8 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 def cmd_charpoly(args) -> tuple[int, dict]:
     graph, c, _ = _load_network(args.input)
-    p = charpoly(L := build_laplacian(graph, c))
+    L = build_laplacian(graph, c)
+    p, q, _ = charpoly_minors(L, 0, 1) if graph.n_vertices >= 2 else (charpoly(L), None, None)
     node = node_check(p)
     data = {
         "charpoly": p.to_json_terms(),
@@ -91,8 +92,8 @@ def cmd_charpoly(args) -> tuple[int, dict]:
         "newton_polygon": p.newton_polygon().to_json(),
     }
     ok = node.is_node and data["sigma_symmetric"]
-    if graph.n_vertices >= 2:
-        data["principal_minor_v0"] = principal_minor(L, 0).to_json_terms()
+    if q is not None:
+        data["principal_minor_v0"] = q.to_json_terms()
     return (0 if ok else 1), data
 
 

@@ -11,9 +11,13 @@ up the engines get the rows with each column's and each row's content divided
 out, which the scale takes back (``_content_free``): conductances that a Y-Delta
 program evolves share long factors, and the smaller rows nearly halved the
 determinant at tri3x2, while below 4 rows the gcds cost more than the few
-products they shorten.  The resultants that the spectral divisor is made of
-take the same interpolation over values from the subresultant PRS
-(``_resultant``), and integer coefficient lists their gcds.
+products they shorten.  ``charpoly_minors`` takes P, the principal minor
+M_{v,v} and the cofactor M_{k,v} from one elimination: Bareiss makes each
+intermediate entry a bordered minor (Sylvester's identity), so the subset DP's
+table and the grid's trailing 2 x 2 block already hold them.  The resultants
+that the spectral divisor is made of take the same interpolation over values
+from the subresultant PRS (``_resultant``), and integer coefficient lists their
+gcds.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import zip_longest
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -107,9 +111,13 @@ def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> 
 
 def _det(rows: Sequence[IntRow]) -> LaurentPoly2:
     """Exact determinant, divided once: ``integer_det``'s D over its scale."""
-    d, scale = integer_det(rows)
+    return _over(*integer_det(rows))
+
+
+def _over(d: dict[Exponent, int], scale: Fraction, za: int = 0, wb: int = 0) -> LaurentPoly2:
+    """The sum of d_ij z^(i + za) w^(j + wb) / scale, one division a term."""
     p, q = scale.numerator, scale.denominator
-    return LaurentPoly2({k: Fraction(c * q, p) for k, c in d.items()})
+    return LaurentPoly2({(i + za, j + wb): Fraction(c * q, p) for (i, j), c in d.items()})
 
 
 def integer_det(rows: Sequence[IntRow]) -> tuple[dict[Exponent, int], Fraction]:
@@ -127,14 +135,16 @@ def integer_det(rows: Sequence[IntRow]) -> tuple[dict[Exponent, int], Fraction]:
     won at every n (n = 9: 0.65-3.2 s against 6.5-16 s)."""
     ints = [r for r, *_ in rows]
     za, wb = sum(a for _, a, _, _ in rows), sum(b for *_, b, _ in rows)
-    ints, k = _content_free(ints) if len(ints) >= 4 else (ints, 1)
-    d = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
+    ints, cols, rws = _content_free(ints) if len(ints) >= 4 else (ints, (), ())
+    d, = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
+    k = math.prod(cols) * math.prod(rws)
     return {(i + za, j + wb): c for (i, j), c in d.items()}, Fraction(math.prod(s for *_, s in rows), k)
 
 
-def _content_free(ints: Sequence[Sequence[dict]]) -> tuple[list[list[dict]], int]:
-    """(ints', k) with det ints = k * det ints': each column's content, then each
-    row's, divided out (a zero column or row keeps its cells).
+def _content_free(ints: Sequence[Sequence[dict]]) -> tuple[list[list[dict]], list[int], list[int]]:
+    """(ints', cols, rows) with ints[i][j] = cols[j] * rows[i] * ints'[i][j]: each
+    column's content, then each row's, divided out (a zero column or row keeps its
+    cells, content 1), so det ints = prod(cols) * prod(rows) * det ints'.
 
     Evolved conductances share large factors (the Laurent phenomenon of the
     cluster dynamics), and so do the cells of a column or row.  On a 2-core x86
@@ -148,7 +158,7 @@ def _content_free(ints: Sequence[Sequence[dict]]) -> tuple[list[list[dict]], int
         ints = [[cell if g == 1 else {e: c // g for e, c in cell.items()} for cell, g in zip(row, cols)] for row in ints]
     rows = [math.gcd(*(c for cell in row for c in cell.values())) or 1 for row in ints]
     ints = [row if g == 1 else [{e: c // g for e, c in cell.items()} for cell in row] for row, g in zip(ints, rows)]
-    return ints, math.prod(cols) * math.prod(rows)
+    return ints, cols, rows
 
 
 def _normal_row(row: list[dict[Exponent, int]], a: int, b: int, s: int, coprime: bool = False) -> IntRow:
@@ -173,11 +183,13 @@ def _integer_row(row: Sequence[LaurentPoly2]) -> IntRow:
     return [{(i - a, j - b): c.numerator * (d // c.denominator) for (i, j), c in e.terms()} for e in row], a, b, d
 
 
-def _det_dp(ints: Sequence[Sequence[dict]]) -> dict[Exponent, int]:
-    """Determinant of integer polynomial rows by column-subset dynamic
-    programming: O(2^n * n) polynomial products, no division and no gcd."""
+def _det_dp(ints: Sequence[Sequence[dict]], cols: Sequence[int] = ()) -> list[dict[Exponent, int]]:
+    """[det, *minors] of integer polynomial rows by column-subset dynamic
+    programming: O(2^n * n) polynomial products, no division and no gcd.  The
+    table holds every minor of the first n - 1 rows, so the minor without the
+    last row and column j, for each j of ``cols``, is read off it."""
     n = len(ints)
-    log.debug("det: subset DP, V=%d", n)
+    log.debug("det: subset DP, V=%d%s", n, f", {len(cols)} minors" if cols else "")
     minors: list = [{(0, 0): 1}] + [None] * ((1 << n) - 1)
     for mask in range(1, 1 << n):
         k, acc = mask.bit_count() - 1, {}  # expand along row k
@@ -187,43 +199,84 @@ def _det_dp(ints: Sequence[Sequence[dict]]) -> dict[Exponent, int]:
                 for (i, jj), y in minors[mask ^ (1 << j)].items():
                     acc[a + i, b + jj] = acc.get((a + i, b + jj), 0) + x * y
         minors[mask] = acc
-    return {k: c for k, c in minors[-1].items() if c}
+    full = (1 << n) - 1
+    return [{k: c for k, c in minors[mask].items() if c} for mask in [full, *(full ^ 1 << j for j in cols)]]
 
 
-def _det_grid(ints: Sequence[Sequence[dict]]) -> dict[Exponent, int]:
-    """Determinant of integer polynomial rows with exponents >= 0 by evaluation
-    and Newton interpolation: its z-degree is <= Dz, the sum of the rows' largest
-    z exponents (w likewise), and its (Dz+1) x (Dw+1) grid values fix it."""
+def _det_grid(ints: Sequence[Sequence[dict]], cols: Sequence[int] = ()) -> list[dict[Exponent, int]]:
+    """[det, *minors] of integer polynomial rows with exponents >= 0 by evaluation
+    and Newton interpolation: the z-degree of each is <= Dz, the sum of the rows'
+    largest z exponents (w likewise), and its (Dz+1) x (Dw+1) grid values fix it.
+
+    A minor is the one without the last row and column j, for j of ``cols`` (n - 2
+    or n - 1).  Both are read off the Bareiss elimination of the determinant: after
+    n - 2 steps, row n - 2 of the trailing 2 x 2 block holds them (Sylvester's
+    identity), unless a pivot swap moved one of the last two rows.  At such a
+    point the first n - 1 rows are eliminated apart."""
     n = len(ints)
     t = [[(v, i, j, c) for v, e in enumerate(row) for (i, j), c in e.items()] for row in ints]
     dz, dw = (sum(max((x[k] for x in r), default=0) for r in t) for k in (1, 2))
-    log.debug("det: grid, V=%d, grid %dx%d", n, dz + 1, dw + 1)
     zs, ws = range(-(dz // 2), dz - dz // 2 + 1), range(-(dw // 2), dw - dw // 2 + 1)
-    by_z = []  # by_z[k][j]: the w^j coefficient of det M(zs[k], w)
+
+    def at(z: int, w: int, rows: list) -> list[list[int]]:
+        m = [[0] * n for _ in rows]
+        for row, r in zip(m, rows):
+            for v, i, j, c in r:
+                row[v] += c * z**i * w**j
+        return m
+
+    by_z, redone = [], 0  # by_z[k][q][j]: the w^j coefficient of quantity q at zs[k]
     for z in zs:
-        ms = [[[0] * n for _ in range(n)] for _ in ws]
-        for m, w in zip(ms, ws):
-            for row, r in zip(m, t):
-                for v, i, j, c in r:
-                    row[v] += c * z**i * w**j
-        by_z.append(_interpolate(ws, [_bareiss(m) for m in ms]))
-    return {(i, j): c for j, col in enumerate(zip(*by_z)) for i, c in enumerate(_interpolate(zs, col)) if c}
+        vals = []
+        for w in ws:
+            m = at(z, w, t)
+            if not cols:
+                vals.append((_bareiss(m),))
+                continue
+            sign, moved = _eliminate(m, n - 2)
+            prev = m[n - 3][n - 3] if n > 2 else 1
+            det = sign and sign * (m[-2][-2] * m[-1][-1] - m[-1][-2] * m[-2][-1]) // prev
+            top = m
+            if sign and moved >= n - 2:
+                redone += 1
+                top = at(z, w, t[:-1])
+                sign, _ = _eliminate(top, n - 2)
+            vals.append((det, *(sign * top[n - 2][2 * n - 3 - j] for j in cols)))
+        by_z.append([_interpolate(ws, q) for q in zip(*vals)])
+    log.debug("det: grid, V=%d, grid %dx%d%s", n, dz + 1, dw + 1,
+              f", {len(cols)} minors, {redone} of {len(zs) * len(ws)} points re-eliminated" if cols else "")
+    return [{(i, j): c for j, col in enumerate(zip(*q)) for i, c in enumerate(_interpolate(zs, col)) if c}
+            for q in zip(*by_z)]
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination, in place."""
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
+def _eliminate(m: list[list[int]], steps: int) -> tuple[int, int]:
+    """``steps`` steps of fraction-free (Bareiss) elimination of an integer matrix
+    with at least as many columns as rows, in place, rows swapped for a nonzero
+    pivot.  After it, for i, j >= steps, m[i][j] is the minor of rows 0..steps-1, i
+    and columns 0..steps-1, j of the matrix with its rows swapped (Sylvester's
+    identity).  Returns (sign, moved): sign the swaps' parity, so that sign * m[i][j]
+    is that minor of the given rows if every swap stayed above row steps, that is
+    if moved, the largest row a swap took, is < steps (-1 if none).  sign is 0 if a
+    column had no pivot: then every such minor is 0."""
+    n, sign, prev, moved = len(m), 1, 1, -1
+    for k in range(steps):
         r = next((r for r in range(k, n) if m[r][k]), None)
         if r is None:
-            return 0  # the column is zero on and below the diagonal
-        m[k], m[r], sign = m[r], m[k], sign if r == k else -sign
+            return 0, moved  # the column is zero on and below the diagonal
+        if r != k:
+            m[k], m[r], sign, moved = m[r], m[k], -sign, max(moved, r)
         pivot, top = m[k][k], m[k]
         for row in m[k + 1:]:
             f = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row)):
                 row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
+    return sign, moved
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination, in place."""
+    sign, _ = _eliminate(m, len(m) - 1)
     return sign * m[-1][-1]
 
 
@@ -243,6 +296,32 @@ def charpoly(L: LaplacianMatrix) -> LaurentPoly2:
     return _det(L.rows)
 
 
+def charpoly_minors(L: LaplacianMatrix, v: int, k: int) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
+    """(P, M_{v,v}, M_{k,v}), M_{k,v} the det of the Laplacian with row k and column
+    v removed, from one elimination.
+
+    The engine gets B, the transpose of the content-free integer rows with rows
+    and columns ordered (..., k, v), so det B = det L's rows, and takes the minors
+    of B without its last row and column n - 1 or n - 2: M_{v,v}, and M_{k,v} up to
+    the sign (-1)^(v + k + 1) of reordering the rest.  The subset DP reads them off
+    its table, the grid off each point's trailing 2 x 2 block (``_det_grid``)."""
+    n = L.size
+    if not (0 <= v < n and 0 <= k < n) or k == v:
+        raise InputError(f"minors ({k}, {v}) and ({v}, {v}) need two vertices in 0..{n - 1}")
+    ints = [r for r, *_ in L.rows]
+    ints, cols, rws = _content_free(ints) if n >= 4 else (ints, [1] * n, [1] * n)
+    order = [u for u in range(n) if u not in (k, v)] + [k, v]
+    dets = (_det_dp if n <= 8 else _det_grid)([[ints[i][j] for i in order] for j in order], (n - 1, n - 2))
+
+    def poly(d: dict[Exponent, int], row: int, col: int, sign: int) -> LaurentPoly2:
+        kept = [r for u, r in enumerate(L.rows) if u != row]
+        za, wb = sum(a for _, a, _, _ in kept), sum(b for *_, b, _ in kept)
+        c = math.prod(g for j, g in enumerate(cols) if j != col) * math.prod(g for i, g in enumerate(rws) if i != row)
+        return _over(d, Fraction(sign * math.prod(s for *_, s in kept), c), za, wb)
+
+    return poly(dets[0], -1, -1, 1), poly(dets[1], v, v, 1), poly(dets[2], k, v, 1 if (v + k) & 1 else -1)
+
+
 def minor_rows(L: LaplacianMatrix, k: int, v: int) -> list[IntRow]:
     """The Laplacian's integer rows with row k and column v removed, each
     renormalised (``_normal_row``) once its column is gone."""
@@ -256,7 +335,7 @@ def principal_minor(L: LaplacianMatrix, v0: int) -> LaurentPoly2:
         raise NetworkSpectraError("the principal minor needs at least two vertices")
     if not 0 <= v0 < L.size:
         raise InputError(f"vertex {v0} is out of range 0..{L.size - 1}")
-    return _det(minor_rows(L, v0, v0))
+    return charpoly_minors(L, v0, (v0 + 1) % L.size)[1]
 
 
 # -- univariate integer polynomials: coefficient lists, lowest first ----------
@@ -277,14 +356,19 @@ def resultant_w(f: LaurentPoly2, g: LaurentPoly2) -> list[int]:
     (m, fz), (n, gz) = ((max(j for _, j in t), max(i for i, _ in t)) for t in (fi, gi))
     deg = m * gz + n * fz
     zs = range(-(deg // 2), deg - deg // 2 + 1)
-    vals = []
-    for z in zs:
-        cf, cg = [0] * (m + 1), [0] * (n + 1)
-        for t, col in ((fi, cf), (gi, cg)):
-            for (i, j), c in t.items():
-                col[j] += c * z**i
-        vals.append(_resultant(cf, cg))
+    # each w-column's z-coefficients, highest first, evaluated by Horner at each z
+    fc, gc = ([[t.get((i, j), 0) for i in range(max((i for i, jj in t if jj == j), default=0), -1, -1)]
+               for j in range(d + 1)] for t, d in ((fi, m), (gi, n)))
+    vals = [_resultant([_horner(c, z) for c in fc], [_horner(c, z) for c in gc]) for z in zs]
     return _trim(_interpolate(zs, vals))
+
+
+def _horner(coeffs: Iterable[int], x: int) -> int:
+    """The polynomial with ``coeffs``, highest first, at x."""
+    v = 0
+    for c in coeffs:
+        v = v * x + c
+    return v
 
 
 def _resultant(a: list[int], b: list[int]) -> int:
@@ -358,7 +442,7 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return a or b
     x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
-        gamma, digits = math.gcd(*(reduce(lambda v, c: v * x + c, reversed(f), 0) for f in (a, b))), []
+        gamma, digits = math.gcd(*(_horner(reversed(f), x) for f in (a, b))), []
         while gamma:
             digits.append((gamma + x // 2) % x - x // 2)
             gamma = (gamma - digits[-1]) // x
@@ -432,23 +516,30 @@ def node_check(p: LaurentPoly2) -> NodeReport:
     """P's value, gradient and Hessian at (z, w) = (1, 1), read off its terms in one
     pass: with c_ij the coefficient of z^i w^j, they are the sums of c_ij weighted by
     1, i, j (value, dP/dz, dP/dw) and i(i-1), ij, j(j-1) (the Hessian h11, h12, h22);
-    hessian_det = h11 h22 - h12^2."""
-    value = gz = gw = h11 = h12 = h22 = Fraction(0)
-    for (i, j), c in p.terms():
-        value += c
-        gz += i * c
-        gw += j * c
-        h11 += i * (i - 1) * c
-        h12 += i * j * c
-        h22 += j * (j - 1) * c
-    return NodeReport(value, (gz, gw), ((h11, h12), (h12, h22)), h11 * h22 - h12 * h12)
+    hessian_det = h11 h22 - h12^2.  The sums are taken in integers, of the c_ij times
+    the lcm D of their denominators, and divided by D at the end."""
+    terms = list(p.terms())
+    d = math.lcm(*(c.denominator for _, c in terms))
+    value = gz = gw = h11 = h12 = h22 = 0
+    for (i, j), c in terms:
+        x = c.numerator * (d // c.denominator)
+        value += x
+        gz += i * x
+        gw += j * x
+        h11 += i * (i - 1) * x
+        h12 += i * j * x
+        h22 += j * (j - 1) * x
+    value, gz, gw, f11, f12, f22 = (Fraction(x, d) for x in (value, gz, gw, h11, h12, h22))
+    return NodeReport(value, (gz, gw), ((f11, f12), (f12, f22)), Fraction(h11 * h22 - h12 * h12, d * d))
 
 
-def laplacian_matrix_at(L: LaplacianMatrix, z: complex, w: complex) -> np.ndarray:
-    """Numeric n x n Laplacian at a point of (C*)^2, from the cached dart arrays."""
+def laplacian_matrix_at(L: LaplacianMatrix, z, w) -> np.ndarray:
+    """Numeric n x n Laplacian at a point of (C*)^2, from the cached dart arrays;
+    at arrays z and w of one shape S, the (*S, n, n) stack of them, point by point."""
     tail, head, c, disp = L.darts
-    z, w = complex(z), complex(w)
-    m = np.zeros((L.size, L.size), dtype=complex)
+    z, w = np.asarray(z, complex), np.asarray(w, complex)
+    c, disp = c.reshape(c.shape + (1,) * z.ndim), disp.reshape(disp.shape + (1,) * z.ndim)
+    m = np.zeros((L.size, L.size, *z.shape), dtype=complex)
     np.add.at(m, (tail, tail), c)
     np.add.at(m, (tail, head), -c * z ** disp[:, 0] * w ** disp[:, 1])
-    return m
+    return np.moveaxis(m, (0, 1), (-2, -1))

@@ -16,10 +16,14 @@ No Fraction is converted per evaluation: fibers read the float coefficient
 matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
 cached on the view), kernel vectors the arrays of ``LaplacianMatrix.darts``.
 One solver, ``fibers``, finds the roots of a whole array of fibers with one
-stacked eigenvalue call.  The amoeba cloud is one (N, 2) array of (log|z|,
+stacked eigenvalue call, and one, ``kernels``, the kernel vectors at a whole
+array of points with one stacked SVD; ``fiber_roots`` and ``null_vectors`` are
+their one-point cases.  The amoeba cloud is one (N, 2) array of (log|z|,
 log|w|), built from one call per sweep direction.  The slices that ``real_ovals``
 takes, or that label the divisor's points, take two stacked calls in all: one
 for every fiber over z = +-e^x, one for every fiber over the gaps of every slice.
+The divisor's other float work is stacked too: the residuals of every (z, w)
+root pair in one evaluation, then one ``kernels`` call for all candidates.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import numpy as np
 from .errors import CorankTwo, DegenerateFiber, NetworkSpectraError
 from .graph_core import TorusGraph
 from .laplacian import (
-    LaplacianMatrix, build_laplacian, integer_det, laplacian_matrix_at, minor_rows, poly_gcd,
-    principal_minor, resultant_w, squarefree_parts,
+    LaplacianMatrix, build_laplacian, charpoly_minors, laplacian_matrix_at, node_check, poly_gcd, resultant_w,
+    squarefree_parts,
 )
 from .laurent import FloatView, LaurentPoly2
 
@@ -152,28 +156,41 @@ def amoeba(p: LaurentPoly2, grid: int = 60, radius: float = 3.0) -> AmoebaCloud:
 # -- kernel vectors --------------------------------------------------------------
 
 
-def null_vectors(L: LaplacianMatrix, z: complex, w: complex):
-    """(U, V, sigma_min): unit left/right kernel vectors at a near-curve point.
+def kernels(L: LaplacianMatrix, zs: Sequence[complex], ws: Sequence[complex]):
+    """(U, V, sigma_min, corank_two): unit left/right kernel vectors at each
+    near-curve point (zs[i], ws[i]), as (N, n) arrays, the smallest singular value
+    and the mask of the points where the two smallest are both tiny (corank >= 2).
 
     The SVD runs on D^-1 Delta D, balanced by Osborne sweeps (equal off-diagonal
     row and column sums), so far from |z| = |w| = 1 a corank-one point keeps a
     clear singular-value gap.  U and V are D^-1 and D times its singular vectors
-    of the smallest singular value, so U Delta ~ 0 and Delta V ~ 0.  Raises
-    CorankTwo when the two smallest singular values are both tiny (corank >= 2).
+    of the smallest singular value, so U Delta ~ 0 and Delta V ~ 0.  One
+    ``laplacian_matrix_at`` call builds the stack, each sweep balances every
+    matrix at once, and one ``np.linalg.svd`` call decomposes them all.
     """
-    m = laplacian_matrix_at(L, z, w)
-    a, d = np.abs(m), np.ones(len(m))
-    np.fill_diagonal(a, 0)
+    m = laplacian_matrix_at(L, zs, ws)
+    n = L.size
+    a, d = np.abs(m), np.ones(m.shape[:2])
+    a[:, range(n), range(n)] = 0
     for _ in range(BALANCE_SWEEPS):
-        for i, (row, col) in enumerate(zip(a, a.T)):
-            if row @ d > 0 and col @ (1 / d) > 0:
-                d[i] = math.sqrt((row @ d) / (col @ (1 / d)))
-    u, s, vh = np.linalg.svd(m * d / d[:, None])
-    scale = s[0] if s[0] > 0 else 1.0
-    if len(s) >= 2 and s[-2] <= CORANK_TOL * scale:
+        for i in range(n):
+            r, c = np.einsum("kj,kj->k", a[:, i], d), np.einsum("kj,kj->k", a[:, :, i], 1 / d)
+            ok = (r > 0) & (c > 0)
+            d[ok, i] = np.sqrt(r[ok] / c[ok])
+    u, s, vh = np.linalg.svd(m * d[:, None, :] / d[:, :, None])
+    scale = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    two = s[:, -2] <= CORANK_TOL * scale if n >= 2 else np.zeros(len(s), bool)
+    U, V = u[:, :, -1].conj() / d, vh[:, -1, :].conj() * d
+    return U / np.linalg.norm(U, axis=1)[:, None], V / np.linalg.norm(V, axis=1)[:, None], s[:, -1], two
+
+
+def null_vectors(L: LaplacianMatrix, z: complex, w: complex):
+    """(U, V, sigma_min) at one near-curve point: ``kernels`` at the one point,
+    raising CorankTwo where it has corank >= 2."""
+    U, V, s, two = kernels(L, [z], [w])
+    if two[0]:
         raise CorankTwo(f"two singular values below {CORANK_TOL} * scale at ({z}, {w})")
-    U, V = u[:, -1].conj() / d, vh[-1, :].conj() * d
-    return U / np.linalg.norm(U), V / np.linalg.norm(V), float(s[-1])
+    return U[0], V[0], float(s[0])
 
 
 # -- the spectral divisor -----------------------------------------------------------
@@ -241,6 +258,15 @@ def _strip(f: list[int]) -> list[int]:
 def _divisor_polynomial(p: LaurentPoly2, q: LaurentPoly2, c: LaurentPoly2) -> list[int]:
     """gcd(Res_w(p, q), Res_w(p, c)) without its z-power factor, lowest first."""
     return _strip(poly_gcd(resultant_w(p, q), resultant_w(p, c)))
+
+
+def _relative(f: FloatView, z, w) -> np.ndarray:
+    """|f| over the sum of its terms' absolute values at the points (z, w), the two
+    arrays broadcast against each other: one ``fiber`` evaluation for every z."""
+    a, s = f.fiber(z)
+    w = np.asarray(w, complex)[..., None]
+    e = np.arange(f.jmin, f.jmin + a.shape[-1])
+    return np.abs((a * w**e).sum(-1)) / np.maximum((s * np.abs(w) ** e).sum(-1), 1e-300)
 
 
 def _real_roots(f: list[int]) -> list[tuple[float, int]]:
@@ -340,33 +366,36 @@ def spectral_divisor(graph: TorusGraph, conductances: Mapping[int, object], v0: 
     multiplicity, those where relative |P| + |C_{k,v0}| is least.  A candidate where
     the kernel has dimension two is a node of C, listed apart.  Also evaluates Q
     at each point and at its (1/z, 1/w) image, the two-sided divisor check.
+
+    P, Q and C_{k,v0} come from one elimination (``charpoly_minors``).  The float
+    stage is stacked: one evaluation of the residual matrix over every (z root,
+    w root) pair, one ``kernels`` call for every candidate, and one evaluation of Q
+    at every point and image.
     """
     if graph.n_vertices < 2:
         raise NetworkSpectraError("the kernel section needs at least two vertices")
     if any(float(c) <= 0 for c in conductances.values()):
         raise NetworkSpectraError("positive real conductances required")
-    from .laplacian import charpoly, node_check
-
     L = build_laplacian(graph, conductances)
-    p, q = charpoly(L), principal_minor(L, v0)
-    c = LaurentPoly2(integer_det(minor_rows(L, (v0 + 1) % L.size, v0))[0])
+    p, q, c = charpoly_minors(L, v0, (v0 + 1) % L.size)
     gz = _divisor_polynomial(p, q, c)
     gw = _divisor_polynomial(*(LaurentPoly2({(j, i): x for (i, j), x in f.terms()}) for f in (p, q, c)))
-    ws = [w for w, k in _real_roots(gw) for _ in range(k)]
+    zk, ws = _real_roots(gz), np.array([w for w, k in _real_roots(gw) for _ in range(k)])
     polygon = p.newton_polygon()
     orders = [o for o in polygon.interior_lattice_points() if o != (0, 0)]  # (0, 0): the node's
-    pf, qf, cf = p.floats(), q.floats(), c.floats()
+    zs = np.array([z for z, _ in zk])[:, None]
+    res = _relative(p.floats(), zs, ws) + _relative(c.floats(), zs, ws)
+    pairs = [(z, float(ws[j])) for (z, k), row in zip(zk, res) for j in np.argsort(row, kind="stable")[:k]]
+    cz, cw = np.array(pairs).reshape(-1, 2).T
+    _, V, _, two = kernels(L, cz, cw)
+    # relative |Q| at each point and at its (1/z, 1/w) image
+    qres = _relative(q.floats(), np.r_[cz, 1 / cz], np.r_[cw, 1 / cw]).reshape(2, -1).T.tolist()
     points, nodes = [], []
-    for z, k in _real_roots(gz):
-        for w in sorted(ws, key=lambda w: sum(abs(v) / s for v, s in (pf.at(z, w), cf.at(z, w))))[:k]:
-            try:
-                _, V, _ = null_vectors(L, z, w)
-            except CorankTwo:
-                nodes.append({"z": z, "w": w})
-                continue
-            # relative |Q| at the point and at its (1/z, 1/w) image
-            qres = [abs(v) / max(s, 1e-300) for v, s in (qf.at(z, w), qf.at(1 / z, 1 / w))]
-            points.append(DivisorPoint(z, w, float(abs(V[v0])), -1, *qres))
+    for (z, w), v, node, qr in zip(pairs, np.abs(V[:, v0]).tolist(), two, qres):
+        if node:
+            nodes.append({"z": z, "w": w})
+        else:
+            points.append(DivisorPoint(z, w, v, -1, *qr))
     # each point's hole is the gap at its end of its piece in the slice at log|z|;
     # -1 at an outer end of the slice or on a degenerate fiber
     for pt, gaps in zip(points, _slices(p, [math.log(abs(pt.z)) for pt in points])):

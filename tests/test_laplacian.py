@@ -18,6 +18,7 @@ from network_spectra.laplacian import (
     _integer_row,
     build_laplacian,
     charpoly,
+    charpoly_minors,
     minor_rows,
     node_check,
     poly_div,
@@ -134,9 +135,24 @@ def _node_by_derivatives(p):
     return NodeReport(value, grad, ((h11, h12), (h12, h22)), det)
 
 
+def _node_by_fraction_sums(p):
+    """The weighted coefficient sums taken term by term in Fraction: the reference
+    for node_check's integer sums."""
+    value = gz = gw = h11 = h12 = h22 = Fraction(0)
+    for (i, j), c in p.terms():
+        value += c
+        gz += i * c
+        gw += j * c
+        h11 += i * (i - 1) * c
+        h12 += i * j * c
+        h22 += j * (j - 1) * c
+    return NodeReport(value, (gz, gw), ((h11, h12), (h12, h22)), h11 * h22 - h12 * h12)
+
+
 def _assert_node_matches_reference(p):
-    rep, ref = node_check(p), _node_by_derivatives(p)
-    assert rep == ref and rep.to_json() == ref.to_json()
+    rep = node_check(p)
+    for ref in (_node_by_derivatives(p), _node_by_fraction_sums(p)):
+        assert rep == ref and rep.to_json() == ref.to_json()
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -488,12 +504,82 @@ def test_grid_engine_large_lattices(lattice, m):
 
 
 def test_det_logs_engine(caplog, lattice):
-    g = lattice("sq", 3, 3)
-    L = build_laplacian(g, random_rational_conductances(g, random.Random(1)))
+    # the principal minor comes from the elimination of all V rows, so it takes their engine
     with caplog.at_level(logging.DEBUG, logger="network_spectra.laplacian"):
-        charpoly(L)
-        principal_minor(L, 0)
-    assert [r.getMessage() for r in caplog.records] == ["det: grid, V=9, grid 7x7", "det: subset DP, V=8"]
+        for g in (lattice("sq", 3, 3), lattice("sq", 4, 2)):
+            L = build_laplacian(g, random_rational_conductances(g, random.Random(1)))
+            charpoly(L)
+            principal_minor(L, 0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "det: grid, V=9, grid 7x7", "det: grid, V=9, grid 7x7, 2 minors, 0 of 49 points re-eliminated",
+        "det: subset DP, V=8", "det: subset DP, V=8, 2 minors"]
+
+
+# -- one elimination for P and the minors M_{v,v}, M_{k,v} ----------------------------
+
+
+def _minor_refs(L, v, k):
+    return charpoly(L), _det(minor_rows(L, v, v)), _det(minor_rows(L, k, v))
+
+
+def _small_minor_cases(lattice):
+    yield from (build(name) for name in FIXTURE_NAMES)
+    yield from _minor_cases(lattice)
+    for kind, m in itertools.product(("sq", "tri"), (2, 3)):
+        g = lattice(kind, m, 2)
+        yield g, random_rational_conductances(g, random.Random(1), positive=False)
+
+
+def test_charpoly_minors_every_pair_dp(lattice):
+    # V <= 6: the subset DP, every v and k
+    for g, c in _small_minor_cases(lattice):
+        L = build_laplacian(g, c)
+        for v, k in itertools.permutations(range(L.size), 2):
+            assert charpoly_minors(L, v, k) == _minor_refs(L, v, k), (v, k)
+
+
+def test_charpoly_minors_grid_at_every_size(lattice):
+    # the grid's block reading from 2 rows (no step before the block) up, every v and k
+    for g, c in _small_minor_cases(lattice):
+        L = build_laplacian(g, c)
+        for v, k in itertools.permutations(range(L.size), 2):
+            ref = _minor_refs(L, v, k)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(laplacian, "_det_dp", laplacian._det_grid)
+                assert charpoly_minors(L, v, k) == ref, (v, k)
+
+
+@pytest.mark.parametrize("seed,positive", [(1, False), (2, True)], ids=["signed1", "positive2"])
+@pytest.mark.parametrize("kind,m,n", [("sq", 3, 3), ("tri", 3, 3), ("sq", 4, 3), ("tri", 4, 3)])
+def test_charpoly_minors_grid(lattice, kind, m, n, seed, positive):
+    g = lattice(kind, m, n)
+    L = build_laplacian(g, random_rational_conductances(g, random.Random(seed), positive=positive))
+    assert L.size > 8  # above the size switch
+    for v in (0, L.size - 1):
+        k = (v + 1) % L.size
+        assert charpoly_minors(L, v, k) == _minor_refs(L, v, k), v
+
+
+@pytest.mark.parametrize("kind,m,n,redone", [("sq", 3, 3, 12), ("sq", 4, 3, 14)])
+def test_charpoly_minors_grid_re_eliminates(lattice, caplog, kind, m, n, redone):
+    # with v = V - 1 on the square lattices a pivot swap moves a row of the trailing
+    # block at some grid points, and the minors there come from the first V - 1 rows
+    g = lattice(kind, m, n)
+    L = build_laplacian(g, random_rational_conductances(g, random.Random(1), positive=False))
+    v = L.size - 1
+    with caplog.at_level(logging.DEBUG, logger="network_spectra.laplacian"):
+        got = charpoly_minors(L, v, 0)
+    (msg,) = [r.getMessage() for r in caplog.records]
+    assert f", 2 minors, {redone} of " in msg
+    assert got == _minor_refs(L, v, 0)
+
+
+def test_charpoly_minors_rejects_bad_vertices():
+    g, c = build("tri2")
+    L = build_laplacian(g, c)
+    for v, k in ((0, 0), (2, 0), (0, -1)):
+        with pytest.raises(InputError):
+            charpoly_minors(L, v, k)
 
 
 # -- the exact identities and helpers the divisor rests on

@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from network_spectra import spectral
+from network_spectra import laplacian, spectral
 from network_spectra.errors import CorankTwo, DegenerateFiber, NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, tri2_generic
 from network_spectra.graph_core import random_rational_conductances, unit_conductances
-from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at
+from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matrix_at, node_check
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
     AMOEBA_PHASES,
@@ -580,6 +580,94 @@ def test_null_vectors_balance_far_points(lattice):
         assert np.linalg.norm(m @ V) <= 1e-8 * np.abs(m).max()
         assert np.linalg.norm(U @ m) <= 1e-8 * np.abs(m).max()
         assert abs(V[0]) <= 1e-9
+
+
+def _loop_null_vectors(L, z, w):
+    """One balanced SVD at one point, the Osborne sweeps vertex by vertex: the
+    reference for the stacked ``kernels``."""
+    m = laplacian_matrix_at(L, z, w)
+    a, d = np.abs(m), np.ones(len(m))
+    np.fill_diagonal(a, 0)
+    for _ in range(spectral.BALANCE_SWEEPS):
+        for i, (row, col) in enumerate(zip(a, a.T)):
+            if row @ d > 0 and col @ (1 / d) > 0:
+                d[i] = math.sqrt((row @ d) / (col @ (1 / d)))
+    u, s, vh = np.linalg.svd(m * d / d[:, None])
+    scale = s[0] if s[0] > 0 else 1.0
+    if len(s) >= 2 and s[-2] <= spectral.CORANK_TOL * scale:
+        raise CorankTwo("corank two")
+    V = vh[-1, :].conj() * d
+    return V / np.linalg.norm(V)
+
+
+def _loop_divisor(g, c, v0=0):
+    """The divisor point by point: P, Q and the cofactor each from its own
+    determinant, the candidates w of each z sorted by ``FloatView.at`` residuals,
+    and one ``_loop_null_vectors`` per candidate.  Returns (Gz, Gw, points, nodes)
+    with points as (z, w, section residual, hole, q residual, q residual at sigma)."""
+    L = build_laplacian(g, c)
+    p, q = charpoly(L), laplacian._det(laplacian.minor_rows(L, v0, v0))
+    cof = LaurentPoly2(laplacian.integer_det(laplacian.minor_rows(L, (v0 + 1) % L.size, v0))[0])
+    gz = spectral._divisor_polynomial(p, q, cof)
+    gw = spectral._divisor_polynomial(*(LaurentPoly2({(j, i): x for (i, j), x in f.terms()}) for f in (p, q, cof)))
+    ws = [w for w, k in spectral._real_roots(gw) for _ in range(k)]
+    pf, qf, cf = p.floats(), q.floats(), cof.floats()
+    points, nodes = [], []
+    for z, k in spectral._real_roots(gz):
+        for w in sorted(ws, key=lambda w: sum(abs(v) / s for v, s in (pf.at(z, w), cf.at(z, w))))[:k]:
+            try:
+                V = _loop_null_vectors(L, z, w)
+            except CorankTwo:
+                nodes.append({"z": z, "w": w})
+                continue
+            qres = [abs(v) / max(s, 1e-300) for v, s in (qf.at(z, w), qf.at(1 / z, 1 / w))]
+            points.append([z, w, float(abs(V[v0])), -1, *qres])
+    orders = [o for o in p.newton_polygon().interior_lattice_points() if o != (0, 0)]
+    for pt, gaps in zip(points, spectral._slices(p, [math.log(abs(pt[0])) for pt in points])):
+        y = math.log(abs(pt[1]))
+        nu = gaps and min(gaps, key=lambda gap: min(abs(e - y) for e in gap[:2]))[2]
+        pt[3] = orders.index(nu) if nu in orders else -1
+    return gz, gw, points, nodes
+
+
+def _stacked_cases():
+    yield "tri2 generic", tri2_generic()
+    yield "tri2 unit", build("tri2")
+    for kind, m, n in [("sq", 2, 2), ("tri", 2, 2), ("sq", 3, 2), ("tri", 3, 2), ("sq", 3, 3), ("tri", 4, 2)]:
+        for seed in (1, 2, 3):
+            yield f"{kind}{m}x{n} @{seed}", (kind, m, n, seed)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _stacked_cases()])
+def test_divisor_matches_point_loop(lattice, case):
+    spec = dict(_stacked_cases())[case]
+    if len(spec) == 4:
+        g = lattice(*spec[:3])
+        spec = g, random_rational_conductances(g, random.Random(spec[3]))
+    g, c = spec
+    res = spectral_divisor(g, c)
+    gz, gw, points, nodes = _loop_divisor(g, c)
+    assert (res.z_polynomial, res.w_polynomial, res.nodes) == (gz, gw, nodes)
+    assert [(p.z, p.w, p.hole_index) for p in res.points] == [(z, w, hole) for z, w, _, hole, _, _ in points]
+    got = [(p.section_residual, p.q_residual, p.q_residual_sigma) for p in res.points]
+    assert np.allclose(got, [pt[2:3] + pt[4:] for pt in points], rtol=0, atol=1e-12)
+    assert res.node == node_check(charpoly(build_laplacian(g, c))).to_json()
+
+
+def test_divisor_one_elimination_and_one_svd(lattice, monkeypatch):
+    engines, svds, svd = [], [], np.linalg.svd
+    for name in ("_det_dp", "_det_grid"):
+        real = getattr(laplacian, name)
+        monkeypatch.setattr(laplacian, name, lambda *a, real=real, name=name: engines.append(name) or real(*a))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svds.append(m.shape) or svd(m, *a, **k))
+    stacks = []
+    for kind, m, n, seed in [("tri", 2, 2, 1), ("sq", 3, 3, 7)]:
+        g = lattice(kind, m, n)
+        res = spectral_divisor(g, random_rational_conductances(g, random.Random(seed)))
+        assert len(res.points) == res.genus
+        stacks.append((res.genus, g.n_vertices, g.n_vertices))
+    assert engines == ["_det_dp", "_det_grid"]
+    assert svds == stacks
 
 
 def test_divisor_needs_two_vertices():
