@@ -83,8 +83,9 @@ class LaplacianMatrix:
 
 def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> LaplacianMatrix:
     """Integer rows from the darts: row u is scaled by s_u, the lcm of the denominators
-    of the conductances at u, so each dart adds its numerator times s_u / denominator;
-    ``_normal_row`` then gives what ``_integer_row`` gives for the Fraction sums."""
+    of the conductances at u, so each dart adds its numerator times s_u / denominator
+    (``_lcm_cofactors``); ``_normal_row`` then gives what ``_integer_row`` gives for
+    the Fraction sums."""
     darts_at: list[list] = [[] for _ in range(graph.n_vertices)]
     for d in range(graph.n_darts):
         c = Fraction(conductances[graph.edge_of(d)])
@@ -93,10 +94,10 @@ def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> 
         darts_at[graph.tail_of(d)].append((graph.head_of(d), graph.disp(d), c))
     rows = []
     for u, darts in enumerate(darts_at):
-        s = math.lcm(*{c.denominator for *_, c in darts})  # a repeat would cost a full gcd
+        s, cof = _lcm_cofactors(c.denominator for *_, c in darts)
         row: list[dict[Exponent, int]] = [{} for _ in darts_at]
         for v, ij, c in darts:
-            x = c.numerator * (s // c.denominator)
+            x = c.numerator * cof[c.denominator]
             row[u][0, 0] = row[u].get((0, 0), 0) + x
             row[v][ij] = row[v].get(ij, 0) - x
         cells = [{k: x for k, x in e.items() if x} for e in row]
@@ -107,6 +108,30 @@ def build_laplacian(graph: TorusGraph, conductances: Mapping[int, Fraction]) -> 
         # so p does not divide its cell: gcd(s_u, cells) = 1 without computing it.
         rows.append(_normal_row(cells, 0, 0, s, sum(map(len, cells)) == len(darts) + 1))
     return LaplacianMatrix(graph, dict(conductances), tuple(rows))
+
+
+def _lcm_cofactors(qs: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """(s, {q: s // q}) for s the lcm of the positive ints ``qs``, in one pass.
+
+    Each new q, with g = gcd(s, q), grows s by q // g: the cofactors so far are
+    multiplied by it and q's is s // g, so no cofactor needs a division of s.  A
+    repeated q is skipped (it would cost a full gcd).  On a 2-core x86 host, at
+    step 40 of the tri2 cube program (seed 1, 11 300-bit denominators), a row's
+    cofactors took 1.7-1.9 ms this way against 2.5-2.9 ms for ``math.lcm`` of the
+    distinct denominators and one s // q per q, and the ``evolve`` benchmark pass
+    0.425 s against 0.440 s (seed 1, 8 of 8 alternating 40-s pairs)."""
+    s, cof = 1, {}
+    for q in qs:
+        if q in cof:
+            continue
+        g = math.gcd(s, q)
+        f = q // g
+        if f > 1:
+            for k in cof:
+                cof[k] *= f
+        cof[q] = s // g
+        s *= f
+    return s, cof
 
 
 def _det(rows: Sequence[IntRow]) -> LaurentPoly2:

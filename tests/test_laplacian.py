@@ -314,6 +314,27 @@ def test_rows_match_fraction_build_with_long_conductances(lattice, long_conducta
     assert max(s for *_, s in L.rows).bit_length() > 2000
 
 
+@st.composite
+def _denominators(draw):
+    """Positive ints sharing factors: each a product of up to three draws from one
+    pool of small and up-to-2000-bit factors, the empty product giving 1s."""
+    pool = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 2**2000)), min_size=1, max_size=4))
+    picks = st.lists(st.sampled_from(pool), max_size=3)
+    return [math.prod(draw(picks)) for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_denominators())
+@example([])
+@example([1, 1, 1])
+@example([6, 10, 15, 6, 1])
+@example([2**2000 + 1, 3 * (2**2000 + 1), 2**1999, 1])
+def test_lcm_cofactors_match_lcm_and_division(qs):
+    s, cof = laplacian._lcm_cofactors(iter(qs))
+    assert s == math.lcm(*qs)
+    assert cof == {q: s // q for q in qs}
+
+
 def _minor_cases(lattice):
     g = build("hex1")[0]
     yield g, _signed(g)

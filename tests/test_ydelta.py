@@ -46,6 +46,23 @@ def triangle_star(A, B, C):
     return (s / A, s / B, s / C)
 
 
+def textbook_move(info, conductances):
+    """``move_conductances`` by the textbook formulas above, with its messages."""
+    x = [Fraction(conductances[e]) for e in info.inputs]
+    if info.op == "y2d":
+        if sum(x) == 0:
+            raise SingularDenominator("a + b + c = 0; the move is undefined here")
+        new = star_triangle(*x)
+    else:
+        if not all(x) or x[0] * x[1] + x[1] * x[2] + x[2] * x[0] == 0:
+            raise SingularDenominator("AB + BC + CA = 0; the move is undefined here")
+        s_a, s_b, s_c = triangle_star(*x)
+        new = (s_b, s_c, s_a)  # leg k sits at corner k, opposite side k + 1
+    c = {k: conductances[e] for e, k in info.edge_map.items()}
+    c.update(zip(info.new_edges, new))
+    return c
+
+
 def test_formula_1_2_3():
     assert star_triangle(Fraction(1), Fraction(2), Fraction(3)) == (
         Fraction(1),
@@ -289,11 +306,13 @@ def test_closing_relabeling_check(lattice, size):
 
 
 def _reference_run(graph, conductances, program, steps):
-    """``run_program`` as a per-step ``apply_move`` loop: every step redoes the surgery."""
+    """``run_program`` as a per-step loop of surgery and textbook formulas: every
+    step redoes the surgery, and no step calls ``move_conductances``."""
     c = {k: Fraction(v) for k, v in conductances.items()}
     g = graph
     for move in program.moves:
-        g, c, _ = apply_move(g, c, move)
+        g, info = ydelta.surgery(g, move)
+        c = textbook_move(info, c)
     classes = [sorted(s.homology for s in StrandSystem(h).strands) for h in (g, graph)]
     c = {k: Fraction(v) for k, v in conductances.items()}
     vec0, anchor = conserved_vector(graph, c)
@@ -301,8 +320,9 @@ def _reference_run(graph, conductances, program, steps):
     for n in range(1, steps + 1):
         g = graph
         for move in program.moves:
+            g, info = ydelta.surgery(g, move)
             try:
-                g, c, _ = apply_move(g, c, move)
+                c = textbook_move(info, c)
             except SingularDenominator as exc:
                 raise SingularDenominator(f"step {n}: {exc}") from exc
         c = {e: c[fe] for fe, e in program.iso_edges.items()}
@@ -335,6 +355,56 @@ def test_singular_later_step_reported(cond, message):
     for run in (run_program, _reference_run):
         with pytest.raises(SingularDenominator, match=rf"^{re.escape(message)}$"):
             run(g, c, prog, 5)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("positive", [True, False], ids=["positive", "signed"])
+@pytest.mark.parametrize("size", [None, (2, 2), (3, 2), (3, 3)], ids=["tri2", "tri2x2", "tri3x2", "tri3x3"])
+def test_move_conductances_match_textbook_formulas(lattice, size, positive, seed):
+    # every move of two steps of the program, the second on long conductances
+    g, prog = _cube_program(lattice, size)
+    c = random_rational_conductances(g, random.Random(seed), positive=positive)
+    plans = []
+    for move in prog.moves:
+        g, info = ydelta.surgery(g, move)
+        plans.append(info)
+    for _ in range(2):
+        for info in plans:
+            got = ydelta.move_conductances(info, c)
+            assert got == textbook_move(info, c)
+            c = got
+        c = {e: c[fe] for fe, e in prog.iso_edges.items()}
+
+
+def _d2y_plan(sides):
+    """A d2y plan on tri2 and conductances giving its triangle the sides ``sides``."""
+    g, _ = build("tri2")
+    _, info = ydelta.surgery(g, Move("d2y", 0))
+    c = {e: 1 for e in range(g.n_edges)}
+    c.update(zip(info.inputs, sides))
+    return info, c
+
+
+def test_move_conductances_of_ints_are_fractions():
+    # int sides 1, 4, 5 once gave the floats 7.25, 5.8 and 29.0, equal to these Fractions
+    info, c = _d2y_plan((1, 4, 5))
+    legs = [ydelta.move_conductances(info, c)[e] for e in info.new_edges]
+    assert legs == [Fraction(29, 4), Fraction(29, 5), Fraction(29)]
+    _, info = ydelta.surgery(build("hex1")[0], Move("y2d", 0))
+    c = ydelta.move_conductances(info, {0: 1, 1: 2, 2: 3})
+    sides = [c[e] for e in info.new_edges]
+    assert sides == [1, Fraction(1, 2), Fraction(1, 3)]
+    assert all(type(x) is Fraction for x in legs + sides)
+
+
+@pytest.mark.parametrize("sides", [(1, 1, Fraction(-1, 2)), (Fraction(-2, 3), 2, 1), (3, 0, 2)],
+                         ids=["R=0", "R=0 permuted", "zero side"])
+def test_d2y_singular_with_nonzero_signed_sides(sides):
+    # 1/A + 1/B + 1/C = 0 with every side nonzero, and a zero side, give one message
+    info, c = _d2y_plan(sides)
+    for move in (ydelta.move_conductances, textbook_move):
+        with pytest.raises(SingularDenominator, match=r"^AB \+ BC \+ CA = 0; the move is undefined here$"):
+            move(info, c)
 
 
 def test_singular_step_reported():
