@@ -253,13 +253,13 @@ def cmd_amoeba(args) -> tuple[int, dict]:
         "dropped_roots": cloud.dropped_roots,
         "holes": holes,
         "divisor_error": divisor_error,
-        "symmetry_defect": cloud.symmetric_defect(),
+        "sigma_symmetric": p == p.involution(),
         "csv": str(csv_path),
         "svg": str(svg_path),
         "genus": p.newton_polygon().interior_lattice_count() - 1,
     }
-    # every fiber skipped (a radius past float range) leaves nothing to check
-    ok = data["points"] > 0 and data["symmetry_defect"] < 0.05
+    # exact, as in cmd_charpoly: the cloud drops far roots; an empty one leaves nothing to check
+    ok = data["points"] > 0 and data["sigma_symmetric"]
     return (0 if ok else 1), data
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,19 +151,26 @@ def integer_det(rows: Sequence[IntRow]) -> tuple[dict[Exponent, int], Fraction]:
 
     Row u of M is z^a_u w^b_u / s_u times an integer polynomial row with exponents
     >= 0 (``LaplacianMatrix.rows``, ``minor_rows``, or ``_integer_row`` of a Laurent
-    row).  From 4 rows up, ``_content_free`` divides each column's content, then
-    each row's, out of the integer rows, and s is the product of the s_u over the
-    product k of those contents; below, k = 1.  The subset DP takes the determinant
-    of these rows for n <= 8, ``_det_grid`` above.  On a 2-core x86 host, with
-    small signed conductances on lattices, the DP took 2-7 ms at n = 9 against
-    3-5 ms on the grid, 37-62 ms at n = 12 against 12-13; with 1300-bit ones it
-    won at every n (n = 9: 0.65-3.2 s against 6.5-16 s)."""
-    ints = [r for r, *_ in rows]
+    row).  ``_engine`` takes the contents k out of the integer rows and picks the
+    engine; s is the product of the s_u over k."""
+    ints, cols, rws, det = _engine([r for r, *_ in rows])
     za, wb = sum(a for _, a, _, _ in rows), sum(b for *_, b, _ in rows)
-    ints, cols, rws = _content_free(ints) if len(ints) >= 4 else (ints, (), ())
-    d, = (_det_dp if len(ints) <= 8 else _det_grid)(ints)
+    d, = det(ints)
     k = math.prod(cols) * math.prod(rws)
     return {(i + za, j + wb): c for (i, j), c in d.items()}, Fraction(math.prod(s for *_, s in rows), k)
+
+
+def _engine(ints: Sequence[Sequence[dict]]) -> tuple[list, list[int], list[int], Callable]:
+    """(ints', cols, rows, det) for ``integer_det`` and ``charpoly_minors``: the rows
+    with their contents divided out (``_content_free``) from 4 rows up, else contents
+    1, and the engine, the subset DP for n <= 8 and ``_det_grid`` above.  On a 2-core
+    x86 host the 2n gcd chains cost more than they save below 4 rows (40 tri2 ``evolve``
+    steps took 0.38 s with them at every size, 0.33 without).  On small signed lattice
+    conductances the DP took 2-7 ms at n = 9 to the grid's 3-5, 37-62 ms at n = 12 to
+    12-13; on 1300-bit ones it won at every n (n = 9: 0.65-3.2 s to 6.5-16 s)."""
+    n = len(ints)
+    ints, cols, rows = _content_free(ints) if n >= 4 else (ints, [1] * n, [1] * n)
+    return ints, cols, rows, (_det_dp if n <= 8 else _det_grid)
 
 
 def _content_free(ints: Sequence[Sequence[dict]]) -> tuple[list[list[dict]], list[int], list[int]]:
@@ -175,9 +182,7 @@ def _content_free(ints: Sequence[Sequence[dict]]) -> tuple[list[list[dict]], lis
     cluster dynamics), and so do the cells of a column or row.  On a 2-core x86
     host, at tri3x2 step 10 of the ``evolve`` seed-1 draw, this cut the rows from
     3864 to 2587 bits and ``integer_det`` from 35 to 18 ms; at tri2x2 step 14
-    from 6559 to 4381 bits and 10.7 to 8.0 ms.  Below 4 rows the determinant is a
-    handful of products, cheaper than these 2n gcd chains: with the pass at every
-    size, 40 tri2 steps took 0.38 s against 0.33."""
+    from 6559 to 4381 bits and 10.7 to 8.0 ms.  ``_engine`` says when it runs."""
     cols = [math.gcd(*(c for row in ints for c in row[j].values())) or 1 for j in range(len(ints))]
     if any(g > 1 for g in cols):
         ints = [[cell if g == 1 else {e: c // g for e, c in cell.items()} for cell, g in zip(row, cols)] for row in ints]
@@ -333,10 +338,9 @@ def charpoly_minors(L: LaplacianMatrix, v: int, k: int) -> tuple[LaurentPoly2, L
     n = L.size
     if not (0 <= v < n and 0 <= k < n) or k == v:
         raise InputError(f"minors ({k}, {v}) and ({v}, {v}) need two vertices in 0..{n - 1}")
-    ints = [r for r, *_ in L.rows]
-    ints, cols, rws = _content_free(ints) if n >= 4 else (ints, [1] * n, [1] * n)
+    ints, cols, rws, det = _engine([r for r, *_ in L.rows])
     order = [u for u in range(n) if u not in (k, v)] + [k, v]
-    dets = (_det_dp if n <= 8 else _det_grid)([[ints[i][j] for i in order] for j in order], (n - 1, n - 2))
+    dets = det([[ints[i][j] for i in order] for j in order], (n - 1, n - 2))
 
     def poly(d: dict[Exponent, int], row: int, col: int, sign: int) -> LaurentPoly2:
         kept = [r for u, r in enumerate(L.rows) if u != row]

@@ -179,18 +179,6 @@ class LaurentPoly2:
             return LaurentPoly2._normal({(i, j - 1): j * v for (i, j), v in self._c.items()})
         raise ValueError(f"unknown variable {var!r}")
 
-    def eval(self, z, w):
-        """Evaluate at nonzero z, w (exact for Fraction/int, complex otherwise)."""
-        if z == 0 or w == 0:
-            raise NetworkSpectraError("Laurent polynomials have poles at z=0 or w=0")
-        if _is_exact(z) and _is_exact(w):
-            z, w = Fraction(z), Fraction(w)
-            total = Fraction(0)
-            for (i, j), v in self._c.items():
-                total += v * z**i * w**j
-            return total
-        return self.floats().at(z, w)[0]
-
     def floats(self) -> "FloatView":
         """The float view, built on first use and cached in a slot.  Exact
         operations never read it; each returns a new polynomial with its own."""
@@ -215,10 +203,6 @@ class LaurentPoly2:
 
     def to_json_terms(self) -> list[list]:
         return [[i, j, str(v)] for (i, j), v in self.terms()]
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 class FloatView:

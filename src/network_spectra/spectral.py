@@ -17,9 +17,11 @@ matrix each polynomial caches on first use (``LaurentPoly2.floats``, transpose
 cached on the view), kernel vectors the arrays of ``LaplacianMatrix.darts``.
 One solver, ``fibers``, finds the roots of a whole array of fibers with one
 stacked eigenvalue call, and one, ``kernels``, the kernel vectors at a whole
-array of points with one stacked SVD; ``fiber_roots`` and ``null_vectors`` are
-their one-point cases.  The amoeba cloud is one (N, 2) array of (log|z|,
-log|w|), built from one call per sweep direction.  The slices that ``real_ovals``
+array of points with one stacked SVD; their one-point cases ``fiber_roots`` and
+``null_vectors`` have no package caller and stay only for ``perfbench/tracing.py``,
+which binds them by name.  The amoeba cloud, one (N, 2) array of (log|z|, log|w|)
+from one call per sweep direction, is an output only: no raster of it is checked,
+as P = sigma P is exact (``cli.cmd_amoeba``).  The slices that ``real_ovals``
 takes, or that label the divisor's points, take two stacked calls in all: one
 for every fiber over z = +-e^x, one for every fiber over the gaps of every slice.
 The divisor's other float work is stacked too: the residuals of every (z, w)
@@ -49,7 +51,6 @@ POLISH_ITERS = 50
 CORANK_TOL = 1e-6        # relative size of the second-smallest singular value at corank two
 BALANCE_SWEEPS = 4       # Osborne sweeps that balance the Laplacian before its SVD
 REAL_TOL = Fraction(1, 10**7)  # a root is real within this, relative; the divisor certifies at r (1 -+ it)
-DEFECT_BINS = 40         # occupancy grid of the symmetry defect, per axis
 AMOEBA_PHASES = 24       # sweep values per circle |z| = e^t (and |w| = e^t)
 SVG_SIZE = 600
 
@@ -121,14 +122,6 @@ class AmoebaCloud:
     radius: float
     skipped_fibers: int
     dropped_roots: int = 0   # roots of unmasked fibers that came back 0 (past float range)
-
-    def symmetric_defect(self) -> float:
-        """Fraction of occupied cells whose point reflection is empty."""
-        cells = np.floor((self.samples + self.radius) / (2 * self.radius / DEFECT_BINS))
-        cells = cells[((cells >= 0) & (cells < DEFECT_BINS)).all(axis=1)].astype(int)
-        occ = np.zeros((DEFECT_BINS, DEFECT_BINS), bool)
-        occ[cells[:, 0], cells[:, 1]] = True
-        return int((occ & ~occ[::-1, ::-1]).sum()) / max(1, int(occ.sum()))
 
 
 def amoeba(p: LaurentPoly2, grid: int = 60, radius: float = 3.0) -> AmoebaCloud:
@@ -301,7 +294,8 @@ def _real_roots(f: list[int]) -> list[tuple[float, int]]:
 
 def _slices(p: LaurentPoly2, xs: Sequence[float]) -> list[list[tuple[float, float, tuple[int, int] | None]] | None]:
     """The gaps (lo, hi, order) in log|w| of the amoeba's slice at each log|z| = x of
-    ``xs``, or None where a fiber of the slice is degenerate.  The sorted log|w| of
+    ``xs``, or None where a fiber of the slice is degenerate or has a root 0 (past
+    float range, where 0 would pass for real and for |z| < e^x).  The sorted log|w| of
     the real roots over z = +-e^x alternate piece, gap, piece.  The two unbounded gaps
     (lo = -inf, hi = inf) have order None; a bounded one's order at its midpoint y is
     nu1 = imin + #{|z| < e^x} over w = e^y, nu2 = jmin + #{|w| < e^y} over z = e^x
@@ -309,13 +303,16 @@ def _slices(p: LaurentPoly2, xs: Sequence[float]) -> list[list[tuple[float, floa
     one more every w = e^y of every slice."""
     f = p.floats()
     ws, ok = fibers(f, [s * math.exp(x) for x in xs for s in (1, -1)])
+    ok &= ws.all(axis=1)
     gaps: list = []
     for k in range(len(xs)):
-        roots = ws[2 * k:2 * k + 2].ravel().tolist()
+        good = ok[2 * k:2 * k + 2].all()
+        roots = ws[2 * k:2 * k + 2].ravel().tolist() if good else []
         ys = sorted(math.log(abs(r.real)) for r in roots if abs(r.imag) <= REAL_TOL * abs(r))
-        gaps.append(list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])) if ok[2 * k:2 * k + 2].all() else None)
+        gaps.append(list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])) if good else None)
     ey = [math.exp((lo + hi) / 2) for gs in gaps if gs for lo, hi in gs[1:-1]]
     zs, zok = fibers(f.transposed(), ey)
+    zok &= zs.all(axis=1)
     out, i = [], 0
     for x, gs, w0 in zip(xs, gaps, ws[::2].tolist()):
         if gs is None:

@@ -156,16 +156,6 @@ def move_conductances(info: MoveInfo, conductances: Mapping[int, Fraction]) -> d
     return c
 
 
-def y_to_delta(graph: TorusGraph, conductances: Mapping[int, Fraction], v: int):
-    """Replace the degree-3 star at v by a triangle; returns (graph, c, info)."""
-    return apply_move(graph, conductances, Move("y2d", v))
-
-
-def delta_to_y(graph: TorusGraph, conductances: Mapping[int, Fraction], face: int):
-    """Insert a star vertex into a triangular face; returns (graph, c, info)."""
-    return apply_move(graph, conductances, Move("d2y", face))
-
-
 # -- invariance ------------------------------------------------------------------
 
 

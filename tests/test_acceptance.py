@@ -32,12 +32,12 @@ from network_spectra.temperley import (
     temperley_map,
 )
 from network_spectra.ydelta import (
+    Move,
     MoveProgram,
-    delta_to_y,
+    apply_move,
     discrete_abel,
     invariance_check,
     run_program,
-    y_to_delta,
 )
 from network_spectra.zigzag import zigzag_polygon
 
@@ -133,14 +133,14 @@ def test_criterion_4_ydelta_exact_invariance():
     g, _ = build("hex1")
     for _ in range(5):
         c = random_rational_conductances(g, rng)
-        g2, c2, info = y_to_delta(g, c, 0)
+        g2, c2, info = apply_move(g, c, Move("y2d", 0))
         tri = next(
             f
             for f in range(g2.n_faces)
             if len(g2.faces[f]) == 3
             and {g2.edge_of(d) for d in g2.faces[f]} == set(info.new_edges)
         )
-        g3, c3_, info3 = delta_to_y(g2, c2, tri)
+        g3, c3_, info3 = apply_move(g2, c2, Move("d2y", tri))
         legs = sorted(c3_[e] for e in info3.new_edges)
         assert legs == sorted(c.values()), "round trip must restore the star exactly"
     _verdict(

@@ -9,6 +9,7 @@ import pytest
 from network_spectra import cli
 from network_spectra import forests as forests_mod
 from network_spectra.cli import main
+from network_spectra.laurent import LaurentPoly2
 from network_spectra.ydelta import run_program
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 
@@ -329,14 +330,27 @@ def test_amoeba_empty_cloud_fails(tmp_path):
     data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
     assert data["points"] == 0
     assert data["skipped_fibers"] > 0
+    assert data["sigma_symmetric"] is True  # the empty cloud alone fails it
 
 
 def test_amoeba_counts_dropped_roots(tmp_path):
     # at radius 200 the far fibers are not masked, but some of their roots come back 0;
-    # the cloud they leave is lopsided, so the symmetry check fails
-    assert run(tmp_path, "amoeba", "tri2", "--grid", "30", "--radius", "200") == 1
+    # the cloud they leave is lopsided, yet the curve is sigma-symmetric, which the
+    # verdict reads off P exactly
+    assert run(tmp_path, "amoeba", "tri2", "--grid", "30", "--radius", "200") == 0
     data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
     assert (data["points"], data["skipped_fibers"], data["dropped_roots"]) == (3744, 0, 576)
+    assert data["sigma_symmetric"] is True
+
+
+def test_amoeba_fails_a_p_that_is_not_sigma_symmetric(tmp_path, monkeypatch):
+    # P z vanishes on the same curve in (C*)^2, so the cloud is the same, but it is not sigma-symmetric
+    charpoly = cli.charpoly
+    monkeypatch.setattr(cli, "charpoly", lambda L: charpoly(L) * LaurentPoly2.monomial(1, 0))
+    assert run(tmp_path, "amoeba", "tri2", "--grid", "12") == 1
+    data = json.loads((tmp_path / "amoeba_tri2.json").read_text())
+    assert data["points"] > 0
+    assert data["sigma_symmetric"] is False
 
 
 def test_amoeba_hole_count_from_divisor(tmp_path):

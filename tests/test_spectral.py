@@ -16,7 +16,6 @@ from network_spectra.laplacian import build_laplacian, charpoly, laplacian_matri
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.spectral import (
     AMOEBA_PHASES,
-    DEFECT_BINS,
     POLISH_ITERS,
     REAL_TOL,
     ROOT_TOL,
@@ -31,6 +30,11 @@ from network_spectra.spectral import (
     write_amoeba_svg,
 )
 from network_spectra.zigzag import StrandSystem, infinity_splits, points_at_infinity, trace_strands
+
+
+def _value(p, z, w):
+    """p at z, w != 0, term by term: exact at Fraction points, complex at complex ones."""
+    return sum((v * z**i * w**j for (i, j), v in p.terms()), Fraction(0))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +72,8 @@ def test_residuals_at_polished_roots(sq1_poly, rng):
         if abs(z) < 0.1:
             continue
         for w in fiber_roots(sq1_poly, z):
-            assert abs(sq1_poly.eval(z, w)) <= 1e-9 * sq1_poly.floats().at(z, w)[1]
+            value, scale = sq1_poly.floats().at(z, w)
+            assert abs(value) <= 1e-9 * scale
 
 
 def test_degenerate_fiber():
@@ -96,7 +101,8 @@ def test_far_fiber_is_not_degenerate():
     roots = sorted(fiber_roots(p, 1e7), key=abs)
     assert roots == pytest.approx([-1e-14, -1e14], rel=1e-12)
     for w in roots:
-        assert abs(p.eval(1e7, w)) <= 1e-12 * p.floats().at(1e7, w)[1]
+        value, scale = p.floats().at(1e7, w)
+        assert abs(value) <= 1e-12 * scale
 
 
 def _tri2_poly():
@@ -111,7 +117,7 @@ def test_fiber_roots_match_exact_fiber_coefficients(z):
     js = sorted({j for (_, j), _ in p.terms()})
     rows = [LaurentPoly2({(i, 0): v for (i, jj), v in p.terms() if jj == j}) for j in js]
     assert js == list(range(js[0], js[-1] + 1))
-    expected = np.roots([float(row.eval(z, 1)) for row in reversed(rows)])
+    expected = np.roots([float(_value(row, z, Fraction(1))) for row in reversed(rows)])
     got = fiber_roots(p, float(z))
     assert len(got) == len(expected)
     for w in got:
@@ -137,7 +143,8 @@ def test_newton_polish_repairs_perturbed_roots(monkeypatch, rng):
     for _ in range(5):
         z = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         for w in fiber_roots(p, z):
-            assert abs(p.eval(z, w)) <= 1e-11 * p.floats().at(z, w)[1]
+            value, scale = p.floats().at(z, w)
+            assert abs(value) <= 1e-11 * scale
 
 
 def _reference_fiber_roots(p, z, tol=ROOT_TOL):
@@ -244,7 +251,6 @@ def test_amoeba_matches_reference_sweep(lattice, rung):
     cloud, ref = amoeba(p, grid=30), _reference_amoeba(p, 30)
     assert len(cloud.samples) == len(ref.samples)
     assert cloud.skipped_fibers == ref.skipped_fibers
-    assert cloud.symmetric_defect() == ref.symmetric_defect()
 
 
 @pytest.mark.parametrize("rung", AMOEBA_RUNGS, ids=str)
@@ -284,16 +290,6 @@ def test_fibers_past_float_range_warn_nothing():
     assert ok[-1] and w[-1].tolist() == fiber_roots(p, 1.5)
 
 
-def test_symmetric_defect_bins_by_floor():
-    # a sigma pair just outside the window at x = -+(radius + step / 2): both points
-    # fall outside it, off the cell boundaries, so the cloud reads symmetric
-    r, step = 3.0, 6.0 / DEFECT_BINS
-    pts = np.array([(0.37, 0.52), (r + step / 2, 0.37)])
-    assert AmoebaCloud(np.vstack([pts, -pts]), r, 0).symmetric_defect() == 0.0
-    assert AmoebaCloud(pts, r, 0).symmetric_defect() == 1.0
-    assert AmoebaCloud(np.zeros((0, 2)), r, 0).symmetric_defect() == 0.0
-
-
 def test_float_view_not_inherited():
     p = LaurentPoly2({(2, 1): 3, (0, -1): 1, (1, 0): -2})
     view = p.floats()
@@ -316,8 +312,8 @@ def test_polish_cap_logged(sq1_poly, caplog):
 
 
 def test_amoeba_sq1_symmetric_no_holes(sq1_poly):
-    cloud = amoeba(sq1_poly, grid=40, radius=3.0)
-    assert cloud.symmetric_defect() < 0.05
+    assert len(amoeba(sq1_poly, grid=40, radius=3.0).samples) > 0
+    assert sq1_poly == sq1_poly.involution()
     assert real_ovals(sq1_poly) == []  # genus 0: no compact ovals
 
 
@@ -370,8 +366,8 @@ def test_divisor_labels_each_point_from_three_fibers(monkeypatch):
 def _reference_gaps(p, x):
     """The slice's gaps (lo, hi) and the roots w over z = e^x, one fiber per call."""
     ws, ok = fibers(p, [math.exp(x), -math.exp(x)])
-    if not ok.all():
-        raise DegenerateFiber(f"a fiber over |z| = e^{x} is degenerate")
+    if not ok.all() or not ws.all():
+        raise DegenerateFiber(f"a fiber over |z| = e^{x} is degenerate or has a root 0")
     ys = sorted(math.log(abs(r.real)) for r in ws.ravel().tolist() if abs(r.imag) <= REAL_TOL * abs(r))
     return list(zip([-math.inf, *ys[1::2]], [*ys[::2], math.inf])), ws[0].tolist()
 
@@ -379,8 +375,10 @@ def _reference_gaps(p, x):
 def _reference_order(p, x, y, ws):
     """The order at (x, y) from one transposed fiber, counted in Python."""
     f = p.floats()
-    return (f.imin + sum(abs(r) < math.exp(x) for r in fiber_roots(f.transposed(), math.exp(y))),
-            f.jmin + sum(abs(r) < math.exp(y) for r in ws))
+    zs = fiber_roots(f.transposed(), math.exp(y))
+    if 0 in zs:
+        raise DegenerateFiber(f"a root over |w| = e^{y} is 0")
+    return f.imin + sum(abs(r) < math.exp(x) for r in zs), f.jmin + sum(abs(r) < math.exp(y) for r in ws)
 
 
 def _reference_slice(p, x):
@@ -406,6 +404,37 @@ def test_slice_matches_gaps_and_orders(lattice, monkeypatch, unit, name):
         assert len(got) == len(xs)
         for x, gaps in zip(xs, got):
             assert (DegenerateFiber if gaps is None else gaps) == _reference_slice(p, x)
+
+
+@pytest.mark.parametrize("x", [40, -40, 60])
+def test_slices_far_out_are_degenerate(lattice, x):
+    # on positive sq3x3 @1 six roots over z = +-e^x come back 0 from unmasked fibers;
+    # 0 would pass for a real root and log|0| raise, so the slice is None, as at a
+    # masked fiber, and the callers skip it
+    g = lattice("sq", 3, 3)
+    p = charpoly(build_laplacian(g, random_rational_conductances(g, random.Random(1))))
+    ws, ok = fibers(p, [math.exp(x), -math.exp(x)])
+    assert ok.all() and (ws == 0).sum() == 6
+    assert spectral._slices(p, [x]) == [None]
+    assert _reference_slice(p, x) is DegenerateFiber
+    assert spectral._slices(p, [30]) == [_reference_slice(p, 30)]  # nearer in, no root is 0
+
+
+def test_slices_zero_root_in_order_sweep_is_degenerate(monkeypatch):
+    # a z-root of the order sweep that came back 0 would count as |z| < e^x and shift
+    # nu1 silently; the slice is None instead
+    p, solve = _tri2_poly(), spectral.fibers
+    (gaps,) = spectral._slices(p, [0.2])
+    assert any(o for *_, o in gaps)  # a bounded gap: the order sweep runs
+
+    def zeroed(q, zs, *args):
+        w, ok = solve(q, zs, *args)
+        if q is p.floats().transposed():
+            w[0, 0] = 0
+        return w, ok
+
+    monkeypatch.setattr(spectral, "fibers", zeroed)
+    assert spectral._slices(p, [0.2]) == [None]
 
 
 @pytest.mark.parametrize("rung", [("sq", 2, 2), ("tri", 2, 2)], ids=str)
@@ -461,7 +490,7 @@ def test_null_vectors_smooth_sample():
     w = fiber_roots(p, z)[0]
     U, V, smin = null_vectors(L, z, w)
     m = np.array(
-        [[complex(L.entries[i][j].eval(z, w)) for j in range(L.size)] for i in range(L.size)]
+        [[L.entries[i][j].floats().at(z, w)[0] for j in range(L.size)] for i in range(L.size)]
     )
     assert smin <= 1e-10
     assert np.linalg.norm(U @ m) < 1e-8
@@ -480,7 +509,7 @@ def test_numeric_laplacian_matches_exact_entries(name, rng):
     points += [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), complex(rng.uniform(-2, 2), 1.0))]
     for z, w in points:
         m = np.array(
-            [[complex(L.entries[i][j].eval(z, w)) for j in range(L.size)] for i in range(L.size)]
+            [[complex(_value(L.entries[i][j], z, w)) for j in range(L.size)] for i in range(L.size)]
         )
         assert np.allclose(laplacian_matrix_at(L, complex(z), complex(w)), m, rtol=1e-13, atol=1e-13)
 
@@ -516,11 +545,12 @@ def test_adjugate_rank_one_on_samples():
         z = cmath.exp(rng.uniform(-1, 1) + 1j * rng.uniform(0, 2 * math.pi))
         for w in fiber_roots(p, z):
             m = np.array(
-                [[complex(L.entries[i][j].eval(z, w)) for j in range(2)] for i in range(2)]
+                [[L.entries[i][j].floats().at(z, w)[0] for j in range(2)] for i in range(2)]
             )
             adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
             sv = np.linalg.svd(adj, compute_uv=False)
-            assert abs(p.eval(z, w)) <= 1e-9 * p.floats().at(z, w)[1]
+            value, scale = p.floats().at(z, w)
+            assert abs(value) <= 1e-9 * scale
             assert sv[0] >= 1e3 * sv[1]
 
 

@@ -25,11 +25,9 @@ from network_spectra.ydelta import (
     apply_move,
     conserved_vector,
     cube_recurrence_program,
-    delta_to_y,
     discrete_abel,
     invariance_check,
     run_program,
-    y_to_delta,
 )
 from network_spectra.zigzag import StrandSystem, zigzag_polygon
 
@@ -90,7 +88,7 @@ def test_round_trip_random_exact(rng):
 def test_hex1_y2d_structure():
     g, _ = build("hex1")
     c = {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}
-    g2, c2, info = y_to_delta(g, c, 0)
+    g2, c2, info = apply_move(g, c, Move("y2d", 0))
     assert (g2.n_vertices, g2.n_edges) == (1, 3)
     assert g2.validate().ok
     # loop displacements are the leg displacement differences
@@ -106,7 +104,7 @@ def test_hex1_y2d_structure():
 def test_y2d_bad_degree():
     g, c = build("tri2")
     with pytest.raises(NetworkSpectraError, match=r"^vertex 0 has degree 6, need 3$"):
-        y_to_delta(g, c, 0)
+        apply_move(g, c, Move("y2d", 0))
 
 
 def test_y2d_loop_at_vertex():
@@ -119,29 +117,29 @@ def test_y2d_loop_at_vertex():
     g = TorusGraph(2, edges, {0: (0, 1, 2), 1: (3, 4, 5)}, check=False)
     c = {e.id: Fraction(1) for e in edges}
     with pytest.raises(NetworkSpectraError, match=r"^vertex 0 carries a loop$"):
-        y_to_delta(g, c, 0)
+        apply_move(g, c, Move("y2d", 0))
 
 
 def test_y2d_singular_denominator():
     g, _ = build("hex1")
     c = {0: Fraction(1), 1: Fraction(1), 2: Fraction(-2)}
     with pytest.raises(SingularDenominator):
-        y_to_delta(g, c, 0)
+        apply_move(g, c, Move("y2d", 0))
 
 
 def test_d2y_not_a_triangle():
     g, c = build("sq2")  # square faces
     with pytest.raises(NetworkSpectraError, match=r"^face 0 has 4 sides$"):
-        delta_to_y(g, c, 0)
+        apply_move(g, c, Move("d2y", 0))
 
 
 def test_d2y_round_trip_tri1():
     g, c = build("tri1")
-    g2, c2, info = delta_to_y(g, c, 0)
+    g2, c2, info = apply_move(g, c, Move("d2y", 0))
     assert g2.validate().ok
     h, _ = build("hex1")
     assert isomorphic(g2, h)
-    g3, c3, _ = y_to_delta(g2, c2, info.new_vertex)
+    g3, c3, _ = apply_move(g2, c2, Move("y2d", info.new_vertex))
     assert isomorphic(g3, g)
     assert sorted(c3.values()) == sorted(c.values())
 
@@ -184,10 +182,10 @@ def test_invariance_star_triangle_star_on_lattices(lattice, size, positive):
     for f in range(g.n_faces):
         rep = invariance_check(g, c, "d2y", f)
         assert rep.exact and rep.polygon_equal, f
-        g2, c2, info = delta_to_y(g, c, f)
+        g2, c2, info = apply_move(g, c, Move("d2y", f))
         rep = invariance_check(g2, c2, "y2d", info.new_vertex)
         assert rep.exact and rep.polygon_equal, f
-        g3, c3, back = y_to_delta(g2, c2, info.new_vertex)
+        g3, c3, back = apply_move(g2, c2, Move("y2d", info.new_vertex))
         assert g2.validate().ok and g3.validate().ok
         assert back.vertex_map == {v: v for v in range(g.n_vertices)}
         tri = [g.edge_of(d) for d in g.faces[f]]
@@ -209,14 +207,14 @@ def test_hex1_star_triangle_star_program(rng):
     # y2d at a vertex, then d2y at the created triangle face, relabeled back
     g, _ = build("hex1")
     c = random_rational_conductances(g, rng)
-    g2, c2, info = y_to_delta(g, c, 0)
+    g2, c2, info = apply_move(g, c, Move("y2d", 0))
     tri_face = next(
         f
         for f in range(g2.n_faces)
         if {g2.edge_of(d) for d in g2.faces[f]} == set(info.new_edges)
         and len(g2.faces[f]) == 3
     )
-    g3, c3, info3 = delta_to_y(g2, c2, tri_face)
+    g3, c3, info3 = apply_move(g2, c2, Move("d2y", tri_face))
     from network_spectra.graph_core import find_isomorphism
 
     res = find_isomorphism(g3, g)

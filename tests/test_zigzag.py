@@ -8,7 +8,7 @@ from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances, vadd
 from network_spectra.laplacian import build_laplacian, charpoly
 from network_spectra.laurent import NewtonPolygon
-from network_spectra.ydelta import MoveProgram, apply_move, delta_to_y, y_to_delta
+from network_spectra.ydelta import Move, MoveProgram, apply_move
 from network_spectra.zigzag import (
     LEFT,
     LocalFan,
@@ -190,10 +190,10 @@ def test_infinity_splits_rejects_a_wrong_conductance(any_network, rng):
 
 def _moves(g, c):
     """Every y2d and d2y that applies, as (graph, conductances) after the move."""
-    for op, n in ((y_to_delta, g.n_vertices), (delta_to_y, g.n_faces)):
+    for op, n in (("y2d", g.n_vertices), ("d2y", g.n_faces)):
         for target in range(n):
             try:
-                g2, c2, _ = op(g, c, target)
+                g2, c2, _ = apply_move(g, c, Move(op, target))
             except NetworkSpectraError:
                 continue
             yield g2, c2
