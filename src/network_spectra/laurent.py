@@ -243,12 +243,6 @@ class FloatView:
         return complex(a @ w**e), float(s @ abs(w) ** e)
 
 
-# Convenience generators.
-Z = LaurentPoly2.monomial(1, 0)
-W = LaurentPoly2.monomial(0, 1)
-ONE = LaurentPoly2.one()
-
-
 def _cross(o: Exponent, a: Exponent, b: Exponent) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

@@ -24,6 +24,7 @@ only the arithmetic at each step.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -432,7 +433,6 @@ class AbelChart:
     Z^strands where the strand order is the trace order of StrandSystem.
     """
 
-    graph: TorusGraph
     base: tuple[str, int]
     window: tuple[tuple[int, int], tuple[int, int]]
     strand_classes: tuple[Vec, ...]
@@ -467,34 +467,36 @@ class AbelChart:
         }
 
 
-def _vertex_edge_increment(sys: StrandSystem, d: int):
-    """Strand-coordinate increment for transport along dart d (tail to head)."""
-    g = sys.graph
-    ad = g.alpha(d)
-    inc = {}
-    for sid, delta in (
-        (sys.strand_of(d, RIGHT), +1),
-        (sys.strand_of(d, LEFT), -1),
-        (sys.strand_of(ad, RIGHT), -1),
-        (sys.strand_of(ad, LEFT), +1),
-    ):
-        inc[sid] = inc.get(sid, 0) + delta
-    return inc
+def _abel_steps(graph: TorusGraph, sys: StrandSystem):
+    """Every step of the transport, stored at both of its ends.
 
+    Maps ("vertex" | "face", id) to a list of ((kind, id), translate, increment)
+    steps out of it: along each edge (vertex to vertex) and across each corner,
+    the one between dart d and the next dart ccw at its tail, into the left face
+    of d at ``face_offset(d)``.  The increment counts the strands that cross the
+    step, a strand crossing from its right to its left +1; a reversed step has
+    the negated translate and increment.
+    """
+    n = len(sys.strands)
+    steps = {("vertex", v): [] for v in range(graph.n_vertices)}
+    steps.update({("face", f): [] for f in range(graph.n_faces)})
 
-def _corner_increment(sys: StrandSystem, v: int, corner: int):
-    """Increment for stepping from vertex v out across corner k into its face."""
-    g = sys.graph
-    slots = g.rotation[v]
-    x_i = slots[corner]
-    x_next = slots[(corner + 1) % len(slots)]
-    inc = {}
-    for sid, delta in (
-        (sys.strand_of(g.alpha(x_next), RIGHT), -1),
-        (sys.strand_of(g.alpha(x_i), LEFT), +1),
-    ):
-        inc[sid] = inc.get(sid, 0) + delta
-    return inc
+    def record(a, b, t: Vec, crossings):
+        inc = [0] * n
+        for (d, turn), delta in crossings:
+            inc[sys.strand_of(d, turn)] += delta
+        steps[a].append((b, t, tuple(inc)))
+        steps[b].append((a, vneg(t), tuple([-x for x in inc])))
+
+    for d in range(graph.n_darts):
+        ad = graph.alpha(d)
+        v = ("vertex", graph.tail_of(d))
+        if graph.is_forward(d):
+            crossings = ((d, RIGHT), 1), ((d, LEFT), -1), ((ad, RIGHT), -1), ((ad, LEFT), 1)
+            record(v, ("vertex", graph.head_of(d)), graph.disp(d), crossings)
+        crossings = ((graph.alpha(graph.rot_next(d)), RIGHT), -1), ((ad, LEFT), 1)
+        record(v, ("face", graph.left_face(d)), graph.face_offset(d), crossings)
+    return steps
 
 
 def discrete_abel(
@@ -504,74 +506,40 @@ def discrete_abel(
 ) -> AbelChart:
     """Breadth-first strand-coordinate transport over a universal-cover window.
 
-    Moves along edges (vertex to vertex) and across corners (vertex to face),
-    counting signed strand crossings: a strand crossing the transported path
-    from its right to its left counts +1.  The window must hold the base's own
-    lift, translate (0, 0); then the search compares every adjacency inside it,
-    and a mismatch raises NetworkSpectraError.
+    Takes the steps of ``_abel_steps``, which fixes the crossing signs.  The
+    window must hold the base's own lift, translate (0, 0); then the search
+    compares every adjacency inside it, and a mismatch raises
+    NetworkSpectraError.
     """
-    count = {"vertex": graph.n_vertices, "face": graph.n_faces}.get(base[0], 0)
-    if not 0 <= base[1] < count:
-        raise InputError(f"{base[0]} {base[1]} is out of range 0..{count - 1}")
-    sys = StrandSystem(graph)
-    n_str = len(sys.strands)
+    counts = {"vertex": graph.n_vertices, "face": graph.n_faces}
+    if base[0] not in counts:
+        raise InputError(f"unknown base kind {base[0]!r}: expected 'vertex' or 'face'")
+    if not 0 <= base[1] < counts[base[0]]:
+        raise InputError(f"{base[0]} {base[1]} is out of range 0..{counts[base[0]] - 1}")
     (tx0, tx1), (ty0, ty1) = window
-
-    def in_window(t: Vec) -> bool:
-        return tx0 <= t[0] <= tx1 and ty0 <= t[1] <= ty1
-
-    if not in_window((0, 0)):
+    if not (tx0 <= 0 <= tx1 and ty0 <= 0 <= ty1):
         raise InputError(f"the window {window} does not contain the translate (0, 0)")
-
-    def neighbors(kind: str, obj: int, t: Vec):
-        """Yield (key, increment) for each adjacent lifted object."""
-        if kind == "vertex":
-            for d in graph.rotation.get(obj, ()):
-                t2 = vadd(t, graph.disp(d))
-                yield ("vertex", graph.head_of(d), t2), _vertex_edge_increment(sys, d)
-            for corner in range(len(graph.rotation.get(obj, ()))):
-                x_i = graph.rotation[obj][corner]
-                f = graph.left_face(x_i)
-                t2 = vadd(t, graph.face_offset(x_i))
-                yield ("face", f, t2), _corner_increment(sys, obj, corner)
-        else:
-            # face -> vertex steps are the reversals of vertex -> face steps
-            for d in graph.faces[obj]:
-                v = graph.tail_of(d)
-                slots = graph.rotation[v]
-                corner = slots.index(d)
-                t2 = vsub(t, graph.face_offset(d))
-                inc = {s: -x for s, x in _corner_increment(sys, v, corner).items()}
-                yield ("vertex", v, t2), inc
-
-    start = (base[0], base[1], (0, 0))
-    entries: dict[tuple[str, int, Vec], tuple[int, ...]] = {
-        start: tuple([0] * n_str)
-    }
-    queue = [start]
+    sys = StrandSystem(graph)
+    steps = _abel_steps(graph, sys)
+    start = (*base, (0, 0))
+    entries = {start: (0,) * len(sys.strands)}
+    queue = deque([start])
     while queue:
-        kind, obj, t = queue.pop(0)
-        val = entries[(kind, obj, t)]
-        for (k2, o2, t2), inc in neighbors(kind, obj, t):
-            if not in_window(t2):
+        kind, obj, t = key = queue.popleft()
+        val = entries[key]
+        for (k2, o2), step, inc in steps[kind, obj]:
+            t2 = vadd(t, step)
+            if not (tx0 <= t2[0] <= tx1 and ty0 <= t2[1] <= ty1):
                 continue
-            new_val = list(val)
-            for sid, delta in inc.items():
-                new_val[sid] += delta
-            new_val = tuple(new_val)
-            key = (k2, o2, t2)
-            if key in entries:
-                if entries[key] != new_val:
-                    raise NetworkSpectraError(
-                        f"transport to {key} is path dependent: {entries[key]} vs {new_val}"
-                    )
-            else:
-                entries[key] = new_val
-                queue.append(key)
-    return AbelChart(
-        graph,
-        base,
-        window,
-        tuple(s.homology for s in sys.strands),
-        entries,
-    )
+            # built from a list, so each tuple gets its final length at once
+            # and freed ones are reused (a generator grows it from 10 slots)
+            new_val = tuple([a + b for a, b in zip(val, inc)])
+            key2 = (k2, o2, t2)
+            if key2 not in entries:
+                entries[key2] = new_val
+                queue.append(key2)
+            elif entries[key2] != new_val:
+                raise NetworkSpectraError(
+                    f"transport to {key2} is path dependent: {entries[key2]} vs {new_val}"
+                )
+    return AbelChart(base, window, tuple(s.homology for s in sys.strands), entries)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from network_spectra.errors import NetworkSpectraError
-from network_spectra.laurent import ONE, LaurentPoly2, NewtonPolygon, W, Z
+from network_spectra.laurent import LaurentPoly2, NewtonPolygon
 
+Z = LaurentPoly2.monomial(1, 0)
+W = LaurentPoly2.monomial(0, 1)
+ONE = LaurentPoly2.one()
 ZI = LaurentPoly2.monomial(-1, 0)
 WI = LaurentPoly2.monomial(0, -1)
 

@@ -1,11 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from network_spectra.errors import TooLarge
 from network_spectra.fixtures import FIXTURE_NAMES, build
 from network_spectra.forests import enumerate_dual_pairs
-from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances
+from network_spectra.graph_core import random_rational_conductances
 from network_spectra.temperley import (
     DimerCover,
     dimer_class,

@@ -7,7 +7,7 @@ import pytest
 
 from network_spectra import ydelta
 from network_spectra.errors import InputError, NetworkSpectraError, SingularDenominator
-from network_spectra.fixtures import build, fixture_path
+from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 from network_spectra.graph_core import (
     Edge,
     TorusGraph,
@@ -29,7 +29,7 @@ from network_spectra.ydelta import (
     invariance_check,
     run_program,
 )
-from network_spectra.zigzag import StrandSystem, zigzag_polygon
+from network_spectra.zigzag import LEFT, RIGHT, StrandSystem
 
 from test_graph_core import isomorphic
 
@@ -442,12 +442,50 @@ def test_abel_equivariance_explicit_sq1():
     assert tuple(a + b for a, b in zip(v0, emb)) == v1
 
 
-def test_abel_face_loop_returns_home():
-    # transporting around each face is a closed loop; the built-in consistency
-    # sweep would raise PathDependence if any loop failed to close
+ABEL_GRAPHS = [*FIXTURE_NAMES, "sq3x2"]
+
+
+def _abel_graph(name, lattice):
+    return lattice("sq", 3, 2) if name == "sq3x2" else build(name)[0]
+
+
+@pytest.mark.parametrize("name", ABEL_GRAPHS)
+def test_abel_window_zero_is_the_fundamental_domain(name, lattice):
+    # one call gives d at translate (0, 0) for every vertex and face, the values
+    # a wider window gives those lifts
+    g = _abel_graph(name, lattice)
+    home = discrete_abel(g, ("vertex", 0), ((0, 0), (0, 0)))
+    wide = discrete_abel(g, ("vertex", 0), ((-1, 1), (-1, 1)))
+    lifts = [("vertex", v, (0, 0)) for v in range(g.n_vertices)]
+    lifts += [("face", f, (0, 0)) for f in range(g.n_faces)]
+    assert sorted(home.entries) == sorted(lifts)
+    assert all(home.entries[key] == wide.entries[key] for key in lifts)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ABEL_GRAPHS)
+def test_abel_window_holds_every_lift(name, k, lattice):
+    g = _abel_graph(name, lattice)
+    chart = discrete_abel(g, ("vertex", 0), ((-k, k), (-k, k)))
+    assert len(chart.entries) == (2 * k + 1) ** 2 * (g.n_vertices + g.n_faces)
+
+
+def test_abel_raises_on_path_dependence(monkeypatch):
+    # state (0, R) answers the L strand, so the crossings of some loop no longer cancel
+    strand_of = StrandSystem.strand_of
+
+    def swapped(self, dart, turn):
+        return strand_of(self, dart, LEFT if (dart, turn) == (0, RIGHT) else turn)
+
+    monkeypatch.setattr(StrandSystem, "strand_of", swapped)
+    with pytest.raises(NetworkSpectraError, match="path dependent"):
+        discrete_abel(build("hex1")[0])
+
+
+def test_abel_names_an_unknown_base_kind():
     g, _ = build("hex1")
-    chart = discrete_abel(g, ("vertex", 0), ((0, 0), (0, 0)))
-    assert ("face", 0, (0, 0)) in chart.entries or len(chart.entries) >= 1
+    with pytest.raises(InputError, match="unknown base kind 'edge': expected 'vertex' or 'face'"):
+        discrete_abel(g, ("edge", 0))
 
 
 def test_abel_window_must_hold_the_base():

@@ -7,7 +7,6 @@ from network_spectra.errors import NetworkSpectraError
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 from network_spectra.graph_core import Edge, TorusGraph, random_rational_conductances, vadd
 from network_spectra.laplacian import build_laplacian, charpoly
-from network_spectra.laurent import NewtonPolygon
 from network_spectra.ydelta import Move, MoveProgram, apply_move
 from network_spectra.zigzag import (
     LEFT,
