@@ -290,7 +290,6 @@ def cmd_abel(args) -> tuple[int, dict]:
     }
     data = chart.to_json()
     data["equivariance"] = eq
-    data["path_independent"] = True  # construction verifies all window loops
     return (0 if all(eq.values()) else 1), data
 
 

@@ -5,10 +5,11 @@ An oriented OCRSF is stored as its successor function ``out``: one outgoing
 dart per vertex, no edge used twice.  Each component of such a function holds
 exactly one cycle and its tree darts point toward it, so the oriented OCRSFs
 are exactly the successor functions.  ``distinct_choices`` is the package's one
-backtracking search.  ``_successors`` runs it over the vertices with darts keyed
-by edge (a loop's two darts are its two orientations), ``enumerate_dimers`` over
-the whites with darts keyed by their black head.  ``_forest`` walks a successor
-function to read off its cycles and their classes.
+backtracking search, and its order is every enumeration's order.  ``_successors``
+runs it over the vertices with darts keyed by edge (a loop's two darts are its
+two orientations), ``enumerate_dimers`` over the whites with darts keyed by
+their black head.  ``_forest`` walks ``TorusGraph.dart_table`` once, with one
+mark array; the weights and ``pfnlap_sum`` sum in integers.
 
 A dual pair's dual forest uses the dual edges of the primal forest's
 complement, so the dual forests are the dual graph's successor functions on
@@ -48,19 +49,22 @@ class OrientedForest:
         return frozenset(d >> 1 for d in self.out)
 
     def homology(self) -> Vec:
-        h = (0, 0)
-        for c in self.cycle_classes:
-            h = vadd(h, c)
-        return h
+        x = y = 0
+        for hx, hy in self.cycle_classes:
+            x, y = x + hx, y + hy
+        return x, y
 
     def weight(self, conductances: Mapping[int, Fraction]) -> Fraction:
-        w = Fraction(1)
-        for e in self.edges:
-            w *= Fraction(conductances[e])
-        return w
+        return fraction_product(conductances[d >> 1] for d in self.out)
 
     def is_union_of_cycles(self) -> bool:
         return sum(map(len, self.cycles)) == len(self.out)
+
+
+def fraction_product(values: Iterable) -> Fraction:
+    """Ints or Fractions multiplied as numerators and denominators: one gcd."""
+    ratios = [x.as_integer_ratio() for x in values]
+    return Fraction(math.prod(p for p, _ in ratios), math.prod(q for _, q in ratios))
 
 
 def distinct_choices(options: Sequence[Sequence[tuple[object, Hashable]]]) -> Iterator[tuple]:
@@ -93,24 +97,26 @@ def _successors(graph: TorusGraph, allowed: frozenset[int] | None = None) -> Ite
 
 
 def _forest(graph: TorusGraph, out: tuple[int, ...]) -> OrientedForest:
-    """Walk the successor function from each vertex; a walk that returns to
-    its own path closes a new cycle, which starts where the walk re-entered."""
-    seen = [False] * len(out)
-    cycles = []
-    for v in range(len(out)):
-        path = []
-        while not seen[v]:
-            seen[v] = True
-            path.append(v)
-            v = graph.head_of(out[v])
-        if v in path:
-            cycles.append(tuple(out[u] for u in path[path.index(v):]))
-    classes = []
-    for cyc in cycles:
-        h = (0, 0)
-        for d in cyc:
-            h = vadd(h, graph.disp(d))
-        classes.append(h)
+    """Walk the successor function on ``graph.dart_table`` from each vertex,
+    marking the vertices it reaches with the walk's start; a walk that reaches
+    a vertex it marked itself closes a new cycle, which starts there."""
+    table = graph.dart_table
+    mark = [-1] * len(out)
+    cycles, classes = [], []
+    for start in range(len(out)):
+        v = start
+        while mark[v] < 0:
+            mark[v] = start
+            v = table[out[v]][0]
+        if mark[v] == start:
+            cyc = [out[v]]
+            u, (x, y) = table[cyc[0]]
+            while u != v:
+                cyc.append(out[u])
+                u, (dx, dy) = table[out[u]]
+                x, y = x + dx, y + dy
+            cycles.append(tuple(cyc))
+            classes.append((x, y))
     return OrientedForest(out, tuple(cycles), tuple(classes))
 
 
@@ -124,41 +130,39 @@ def enumerate_ocrsfs(graph: TorusGraph) -> list[OrientedForest]:
     return list(_ocrsfs(graph))
 
 
-def pfnlap_sum(
-    forests: Iterable[OrientedForest], conductances: Mapping[int, Fraction]
-) -> LaurentPoly2:
-    """Brute-force oracle for det of the twisted Laplacian, from its OCRSFs.
+def pfnlap_sum(forests: Iterable[OrientedForest], conductances: Mapping[int, Fraction]) -> LaurentPoly2:
+    """Brute-force oracle for det of the twisted Laplacian, from its OCRSFs:
+    the sum of wt(gamma) * prod over oriented cycles of (1 - chi^[cycle]).
 
-    Sums wt(gamma) * prod over oriented cycles of (1 - chi^[cycle]).  The
-    weights are added up per sorted tuple of cycle classes first, so each
-    product is expanded once per tuple.  The forests do not depend on the
-    conductances, so one ``enumerate_ocrsfs`` list serves every draw.
-
-    The sums are in integers: with c_e = p_e / q_e in lowest terms and Q the
-    product of all q_e, a forest's weight is (prod_F p_e) * (Q // prod_F q_e)
-    / Q, an exact division.  A common denominator lcm(q_e) would make n_e as
-    long as the lcm; on 2000-bit signed draws that ran 2-3x slower than a
-    Fraction per forest (sq3x2 8.7 s, tri2x2 2.1 s, against 2.8 s and 1.2 s),
-    where this form takes 0.97 s and 0.54 s.
+    All in integers.  With c_e = p_e / q_e in lowest terms and Q the product
+    of all q_e, a forest's weight is (prod_F p_e) * (Q // prod_F q_e) / Q, an
+    exact division.  The weights are added up per tuple of cycle classes (in
+    walk order), each tuple's product is expanded once on an exponent -> int
+    Counter, and the total is divided by Q once per exponent.  The forests do
+    not depend on the conductances, so one ``enumerate_ocrsfs`` list serves
+    every draw.  A common denominator lcm(q_e) would make n_e as long as the
+    lcm; on 2000-bit signed draws that ran 2-3x slower than a Fraction per
+    forest (sq3x2 8.7 s, tri2x2 2.1 s, against 2.8 s and 1.2 s), where Q took
+    0.97 s and 0.54 s.
     """
     ratios = {e: Fraction(c).as_integer_ratio() for e, c in conductances.items()}
     common = math.prod(q for _, q in ratios.values())
+    by_dart = {d: r for e, r in ratios.items() for d in (2 * e, 2 * e + 1)}
     by_classes: dict[tuple[Vec, ...], int] = {}
     for f in forests:
         num = den = 1
         for d in f.out:
-            p, q = ratios[d >> 1]
+            p, q = by_dart[d]
             num *= p
             den *= q
-        key = tuple(sorted(f.cycle_classes))
-        by_classes[key] = by_classes.get(key, 0) + num * (common // den)
-    total = LaurentPoly2.zero()
+        by_classes[f.cycle_classes] = by_classes.get(f.cycle_classes, 0) + num * (common // den)
+    total: Counter = Counter()
     for classes, wt in by_classes.items():
-        term = LaurentPoly2.constant(Fraction(wt, common))
-        for h in classes:
-            term = term * (1 - LaurentPoly2.monomial(*h))
-        total = total + term
-    return total
+        term = Counter({(0, 0): wt})
+        for hx, hy in classes:
+            term.subtract({(i + hx, j + hy): a for (i, j), a in term.items()})
+        total.update(term)
+    return LaurentPoly2({k: Fraction(a, common) for k, a in total.items()})
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,7 @@ class DualPair:
 
     @classmethod
     def build(cls, primal: OrientedForest, dual: OrientedForest) -> "DualPair":
-        s = (0, 0)
-        for h in primal.cycle_classes + dual.cycle_classes:
-            s = vadd(s, h)
+        s = vadd(primal.homology(), dual.homology())
         if s[0] % 2 or s[1] % 2:
             raise AssertionError(f"half-integral pair class {s}/2 (crossing bug)")
         return cls(primal, dual, (s[0] // 2, s[1] // 2))
@@ -187,7 +189,7 @@ def _dual_forests(dual: TorusGraph, primal: OrientedForest) -> list[OrientedFore
     forests = [_forest(dual, out) for out in _successors(dual, complement)]
     for f in forests:
         assert f.edges == complement, "dual complement is not a CRSF"
-        assert len(f.cycles) == len(primal.cycles), "dual cycle count differs from primal"
+        assert len(f.cycle_classes) == len(primal.cycle_classes), "dual cycle count differs from primal"
     return forests
 
 
@@ -315,15 +317,11 @@ def boundary_point_counts(graph: TorusGraph, forests: Iterable[OrientedForest]):
     reference value."""
     poly = zigzag_polygon(graph)
     per_class = Counter(f.homology() for f in forests)
-    counts = {
-        h: n for h, n in per_class.items()
-        if poly.contains(h) and not poly.contains(h, strict=True)
-    }
+    counts = {h: n for h, n in per_class.items()
+              if poly.contains(h) and not poly.contains(h, strict=True)}
     expected: dict[Vec, int] = {}
     for fam in polygon_edge_families(graph):
-        n = len(fam["strands"])
-        v1, prim = fam["v1"], fam["primitive"]
+        (x, y), (px, py), n = fam["v1"], fam["primitive"], len(fam["strands"])
         for k in range(n + 1):
-            pt = (v1[0] + k * prim[0], v1[1] + k * prim[1])
-            expected[pt] = math.comb(n, k)
+            expected[x + k * px, y + k * py] = math.comb(n, k)
     return counts, expected

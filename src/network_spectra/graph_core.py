@@ -149,6 +149,11 @@ class TorusGraph:
         e = self.edges[d >> 1]
         return e.disp if not d & 1 else vneg(e.disp)
 
+    @cached_property
+    def dart_table(self) -> tuple[tuple[int, Vec], ...]:
+        """``(head_of(d), disp(d))`` for every dart d, indexed by d."""
+        return tuple((self.head_of(d), self.disp(d)) for d in range(self.n_darts))
+
     def rot_next(self, d: int) -> int:
         v, k = self._rot_pos[d]
         ds = self.rotation[v]

@@ -5,7 +5,8 @@ set of its edge ids.  The matching induced by a dual pair puts each white ON
 THE TAIL SIDE of the oriented primal or dual edge covering it: edge u -> v in
 the forest matches (u, white); dual edge f -> f' in the dual forest matches
 (f, white).  ``enumerate_dimers`` runs the package's one backtracking search,
-``forests.distinct_choices``.
+``forests.distinct_choices``, in its order; ``DimerCover.weight`` sums in
+integers (``forests.fraction_product``: one gcd per cover, not one per edge).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import NetworkSpectraError, check_size
-from .forests import DualPair, _dual_forests, distinct_choices, extremal_table
+from .forests import DualPair, _dual_forests, distinct_choices, extremal_table, fraction_product
 from .graph_core import SuperposedGraph, TorusGraph, Vec, vadd, vsub
 from .laurent import NewtonPolygon
 
@@ -25,10 +26,7 @@ class DimerCover:
     edges: frozenset[int]
 
     def weight(self, sup: SuperposedGraph, conductances: Mapping[int, Fraction]) -> Fraction:
-        w = Fraction(1)
-        for ge in self.edges:
-            w *= Fraction(sup.edge_weight(ge, conductances))
-        return w
+        return fraction_product(sup.edge_weight(ge, conductances) for ge in self.edges)
 
 
 def enumerate_dimers(sup: SuperposedGraph) -> list[DimerCover]:

@@ -11,6 +11,7 @@ from network_spectra import forests as forests_mod
 from network_spectra.cli import main
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.ydelta import run_program
+from network_spectra.zigzag import LEFT, RIGHT, StrandSystem
 from network_spectra.fixtures import FIXTURE_NAMES, build, fixture_path
 
 
@@ -137,6 +138,19 @@ def test_abel(tmp_path):
     assert run(tmp_path, "abel", "hex1", "--window", "1") == 0
     data = json.loads((tmp_path / "abel_hex1.json").read_text())
     assert all(data["equivariance"].values())
+    assert "path_independent" not in data
+
+
+def test_abel_path_dependence_exits_1_without_a_report(tmp_path, monkeypatch):
+    # as in test_ydelta's path-dependence test: state (0, R) answers the L strand
+    strand_of = StrandSystem.strand_of
+
+    def swapped(self, dart, turn):
+        return strand_of(self, dart, LEFT if (dart, turn) == (0, RIGHT) else turn)
+
+    monkeypatch.setattr(StrandSystem, "strand_of", swapped)
+    assert run(tmp_path, "abel", "hex1") == 1
+    assert not (tmp_path / "abel_hex1.json").exists()
 
 
 def test_reports_byte_stable(tmp_path):

@@ -19,7 +19,7 @@ from network_spectra.forests import (
     pfnlap_sum,
     polygon_edge_families,
 )
-from network_spectra.graph_core import random_rational_conductances
+from network_spectra.graph_core import random_rational_conductances, vadd
 from network_spectra.laplacian import build_laplacian, charpoly
 from network_spectra.laurent import LaurentPoly2
 from network_spectra.zigzag import zigzag_polygon
@@ -353,10 +353,79 @@ def test_dual_forests_match_reference_backtracker(lattice, name):
         if (0, 0) in primal.cycle_classes:
             continue
         complement = frozenset(range(dual.n_edges)) - primal.edges
-        expected = list(reference_successors(dual, complement))
-        assert [f.out for f in forests_mod._dual_forests(dual, primal)] == expected
+        expected = [reference_forest(dual, out) for out in reference_successors(dual, complement)]
+        assert forests_mod._dual_forests(dual, primal) == expected
         checked += 1
     assert checked > 0
+
+
+def reference_forest(graph, out):
+    """The walk that ``_forest`` replaced (a path list per start vertex, ``v in
+    path`` and ``path.index``, one ``head_of`` and ``disp`` call per step), kept as
+    the reference for the cycles, their order and their classes."""
+    seen = [False] * len(out)
+    cycles = []
+    for v in range(len(out)):
+        path = []
+        while not seen[v]:
+            seen[v] = True
+            path.append(v)
+            v = graph.head_of(out[v])
+        if v in path:
+            cycles.append(tuple(out[u] for u in path[path.index(v):]))
+    classes = []
+    for cyc in cycles:
+        h = (0, 0)
+        for d in cyc:
+            h = vadd(h, graph.disp(d))
+        classes.append(h)
+    return forests_mod.OrientedForest(out, tuple(cycles), tuple(classes))
+
+
+def reference_dual_pairs(graph, primals):
+    """Dual pairs from the reference search and walk, each class summed cycle by cycle."""
+    dual = graph.dual()
+    pairs = []
+    for primal in primals:
+        complement = frozenset(range(dual.n_edges)) - primal.edges
+        for out in reference_successors(dual, complement):
+            d = reference_forest(dual, out)
+            s = (0, 0)
+            for h in primal.cycle_classes + d.cycle_classes:
+                s = vadd(s, h)
+            pairs.append(forests_mod.DualPair(primal, d, (s[0] // 2, s[1] // 2)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_forests_and_pairs_match_reference_walk(lattice, name):
+    g = search_input(lattice, name)
+    primals = [reference_forest(g, out) for out in reference_successors(g)]
+    assert enumerate_ocrsfs(g) == primals
+    if name in FIXTURE_NAMES:
+        assert enumerate_dual_pairs(g) == reference_dual_pairs(g, primals)
+    else:  # the known failure, kept with its text (see the contractible-cycle test)
+        with pytest.raises(AssertionError, match=r"^dual complement misses faces$"):
+            enumerate_dual_pairs(g)
+
+
+def plain_product(values):
+    out = Fraction(1)
+    for x in values:
+        out *= Fraction(x)
+    return out
+
+
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_integer_sums_match_fraction_products(lattice, name):
+    g = search_input(lattice, name)
+    forests = enumerate_ocrsfs(g)
+    signed = random_rational_conductances(g, random.Random(1), positive=False)
+    assert pfnlap_sum(forests, signed) == charpoly(build_laplacian(g, signed))
+    ints = {e.id: (-1) ** e.id * (e.id + 2) for e in g.edges}
+    for c in (signed, ints):
+        for f in forests:
+            assert f.weight(c) == plain_product(c[e] for e in f.edges)
 
 
 def test_distinct_choices_order():

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from network_spectra.errors import TooLarge
@@ -89,6 +92,21 @@ def test_dimers_match_reference_backtracker(lattice, name):
     covers = enumerate_dimers(sup)
     assert covers == reference_dimers(sup)
     assert len(covers) > 0
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "sq2x2", "tri2x2", "sq3x2"])
+def test_dimer_weight_is_the_fraction_product(lattice, name):
+    if name in FIXTURE_NAMES:
+        g, _ = build(name)
+    else:
+        g = lattice(name[:-3], int(name[-3]), int(name[-1]))
+    sup = g.superpose()
+    c = random_rational_conductances(g, random.Random(1), positive=False)
+    for m in enumerate_dimers(sup):
+        expected = Fraction(1)
+        for ge in m.edges:
+            expected *= Fraction(sup.edge_weight(ge, c))
+        assert m.weight(sup, c) == expected
 
 
 def test_bijection(any_network):

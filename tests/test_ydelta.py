@@ -61,6 +61,55 @@ def textbook_move(info, conductances):
     return c
 
 
+# The largest numerator or denominator bit length h(t) of the conductances after
+# t program steps grows about quadratically: (h(t) - h(0)) / t^2 stays within
+# 5-21 on the tri2, tri2x2, tri3x2 and tri3x3 cube programs (t = 1..5, seeds 1-8,
+# positive and signed).  A wrong star-triangle formula breaks the cancellations
+# and h grows geometrically (with the d2y legs permuted, 28-204 t^2 at t = 4),
+# so a long run of determinants on it takes minutes.  Each long run below first
+# evolves GROWTH_STEPS steps of bare move arithmetic under the envelope
+# h(0) + GROWTH_SLOPE t^2, so such a formula fails in milliseconds.
+GROWTH_STEPS, GROWTH_SLOPE = 5, 24
+
+
+def _height(c):
+    return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in c.values())
+
+
+def assert_quadratic_growth(graph, conductances, program):
+    plans = []
+    for move in program.moves:
+        graph, info = ydelta.surgery(graph, move)
+        plans.append(info)
+    c = {k: Fraction(v) for k, v in conductances.items()}
+    h0 = _height(c)
+    for t in range(1, GROWTH_STEPS + 1):
+        for info in plans:
+            c = ydelta.move_conductances(info, c)
+        c = {e: c[fe] for fe, e in program.iso_edges.items()}
+        assert _height(c) <= h0 + GROWTH_SLOPE * t * t, f"step {t}: {_height(c)} bits"
+
+
+@pytest.mark.parametrize("size", [None, (3, 3)], ids=["tri2", "tri3x3"])
+def test_growth_envelope_catches_permuted_legs(lattice, monkeypatch, size):
+    # a wrong star-triangle formula: the first two d2y legs swapped
+    move = ydelta.move_conductances
+
+    def permuted(info, c):
+        out = move(info, c)
+        if info.op == "d2y":
+            a, b, _ = info.new_edges
+            out[a], out[b] = out[b], out[a]
+        return out
+
+    g, prog = _cube_program(lattice, size)
+    c = random_rational_conductances(g, random.Random(1))
+    assert_quadratic_growth(g, c, prog)
+    monkeypatch.setattr(ydelta, "move_conductances", permuted)
+    with pytest.raises(AssertionError, match=r"^step [345]: "):
+        assert_quadratic_growth(g, c, prog)
+
+
 def test_formula_1_2_3():
     assert star_triangle(Fraction(1), Fraction(2), Fraction(3)) == (
         Fraction(1),
@@ -222,6 +271,7 @@ def test_hex1_star_triangle_star_program(rng):
     vmap, dart_map, _ = res
     emap = {e.id: g.edge_of(dart_map[2 * e.id]) for e in g3.edges}
     prog = MoveProgram([Move("y2d", 0), Move("d2y", tri_face)], vmap, emap)
+    assert_quadratic_growth(g, c, prog)
     rep = run_program(g, c, prog, 6)
     assert rep.conserved_constant
     assert rep.strand_classes_preserved
@@ -242,6 +292,7 @@ def test_cube_recurrence_program_runs(rng):
     prog = cube_recurrence_program(g)
     assert [m.op for m in prog.moves] == ["d2y", "d2y", "y2d", "y2d"]
     c = random_rational_conductances(g, rng)
+    assert_quadratic_growth(g, c, prog)
     rep = run_program(g, c, prog, 3)
     assert rep.conserved_constant
     assert rep.strand_classes_preserved
@@ -253,7 +304,9 @@ def test_conserved_vector_is_charpoly_over_anchor(rng):
     # the integer shortcut against the Fraction path, along a cube-recurrence orbit
     g, _ = build("tri2")
     prog = MoveProgram.load(fixture_path("tri2_cube_program"))
-    rep = run_program(g, random_rational_conductances(g, rng), prog, 10)
+    c = random_rational_conductances(g, rng)
+    assert_quadratic_growth(g, c, prog)
+    rep = run_program(g, c, prog, 10)
     assert rep.conserved_constant
     for step in rep.steps:
         p = charpoly(build_laplacian(g, step.conductances))
@@ -334,6 +387,7 @@ def _reference_run(graph, conductances, program, steps):
 def test_run_program_matches_per_step_moves(lattice, size, steps, positive, seed):
     g, prog = _cube_program(lattice, size)
     c = random_rational_conductances(g, random.Random(seed), positive=positive)
+    assert_quadratic_growth(g, c, prog)
     rep = run_program(g, c, prog, steps)
     assert rep == _reference_run(g, c, prog, steps)
     assert rep.conserved_constant and rep.strand_classes_preserved
@@ -507,7 +561,9 @@ def test_strand_classes_compared_once(monkeypatch, rng, steps):
     monkeypatch.setattr(ydelta, "StrandSystem", Spy)
     g, _ = build("tri2")
     prog = MoveProgram.load(fixture_path("tri2_cube_program"))
-    rep = run_program(g, random_rational_conductances(g, rng), prog, steps)
+    c = random_rational_conductances(g, rng)
+    assert_quadratic_growth(g, c, prog)
+    rep = run_program(g, c, prog, steps)
     assert rep.strand_classes_preserved
     assert len(built) == 2 and built[1] is g and built[0] is not g
 
